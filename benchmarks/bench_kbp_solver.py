@@ -8,7 +8,13 @@ is not an exotic corner case.
 The parallel-speedup bench measures the sharded, batched solver
 (repro.core.parallel) against the serial sweep on a 24-state random KBP,
 asserts result identity (report and certificate digests), and appends a
-trajectory entry to ``BENCH_kbp_solver.json``.  Set
+trajectory entry to ``BENCH_kbp_solver.json``.  Its headline
+``parallel_speedup`` (serial sweep over an 8-worker pool) mixes two
+gains, so the entry also splits it: ``batching_speedup`` (serial sweep
+over the batched in-process sweep) and ``process_speedup`` (the batched
+in-process sweep over a ``default_workers()`` pool, ``pool_workers``
+wide), with the host's ``cpus`` and each ratio's baseline named in
+``baselines``.  Set
 ``KBP_SOLVER_BENCH_QUICK=1`` to shrink the candidate count for CI smoke
 runs (the speedup floor is only asserted on the full-size run).
 """
@@ -20,6 +26,7 @@ import time
 from pathlib import Path
 
 from repro.core import solve_si, solve_si_iterative, solve_si_parallel
+from repro.core.parallel import default_workers
 from repro.predicates import Predicate
 from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.unity import Program, Statement, Unary, Var, const, knows, lnot, var
@@ -151,25 +158,46 @@ def _speedup_kbp(rng: random.Random, free_bits: int) -> Program:
 
 
 def test_parallel_solver_speedup(benchmark):
-    """The sharded/batched sweep vs serial: identical report, ≥3× faster."""
+    """The sharded/batched sweep vs serial: identical report, ≥3× faster.
+
+    Also splits the speedup: batching (serial sweep → batched in-process
+    sweep) and processes (batched in-process sweep → default-sized pool).
+    """
     rng = random.Random(2024)
     program = _speedup_kbp(rng, _SPEEDUP_FREE_BITS)
+    pool_workers = default_workers()
+
+    def timed(solve):
+        start = time.perf_counter()
+        report = solve()
+        return report, time.perf_counter() - start
 
     def run():
-        start = time.perf_counter()
-        serial = solve_si(program, parallel="never")
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel = solve_si_parallel(program, workers=8)
-        parallel_s = time.perf_counter() - start
-        identical = parallel.candidates_checked == serial.candidates_checked and tuple(
-            p.mask for p in parallel.solutions
-        ) == tuple(p.mask for p in serial.solutions)
-        return serial, serial_s, parallel_s, identical
+        serial, serial_s = timed(lambda: solve_si(program, parallel="never"))
+        parallel, parallel_s = timed(
+            lambda: solve_si_parallel(program, workers=8)
+        )
+        in_process, in_process_s = timed(
+            lambda: solve_si_parallel(program, workers=1)
+        )
+        pool, pool_s = timed(
+            lambda: solve_si_parallel(program, workers=pool_workers)
+        )
+        identical = all(
+            report.candidates_checked == serial.candidates_checked
+            and tuple(p.mask for p in report.solutions)
+            == tuple(p.mask for p in serial.solutions)
+            for report in (parallel, in_process, pool)
+        )
+        return serial, serial_s, parallel_s, in_process_s, pool_s, identical
 
-    serial, serial_s, parallel_s, identical = once(benchmark, run)
+    serial, serial_s, parallel_s, in_process_s, pool_s, identical = once(
+        benchmark, run
+    )
     assert identical
     speedup = serial_s / parallel_s
+    batching = serial_s / in_process_s
+    processes = in_process_s / pool_s
     if not _QUICK:
         # Quick CI boxes sweep too few candidates to amortize pool startup;
         # the floor is a full-size claim.
@@ -179,6 +207,16 @@ def test_parallel_solver_speedup(benchmark):
         )
     _RESULTS["solve_si_identical"] = identical
     _RESULTS["parallel_speedup"] = round(speedup, 1)
+    _RESULTS["batching_speedup"] = round(batching, 1)
+    _RESULTS["process_speedup"] = round(processes, 2)
+    _RESULTS["baselines"] = {
+        "parallel_speedup": "serial sweep / 8-worker pool",
+        "batching_speedup": "serial sweep / batched in-process sweep",
+        "process_speedup":
+            f"batched in-process sweep / {pool_workers}-worker pool",
+    }
+    _RESULTS["cpus"] = os.cpu_count()
+    _RESULTS["pool_workers"] = pool_workers
     _RESULTS["free_bits"] = _SPEEDUP_FREE_BITS
     _RESULTS["workers"] = 8
     _RESULTS["quick"] = _QUICK
@@ -187,7 +225,13 @@ def test_parallel_solver_speedup(benchmark):
         candidates=serial.candidates_checked,
         serial_s=round(serial_s, 3),
         parallel_s=round(parallel_s, 3),
+        in_process_s=round(in_process_s, 3),
+        pool_s=round(pool_s, 3),
         parallel_speedup=round(speedup, 1),
+        batching_speedup=round(batching, 1),
+        process_speedup=round(processes, 2),
+        cpus=_RESULTS["cpus"],
+        pool_workers=pool_workers,
         solve_si_identical=identical,
     )
 

@@ -47,10 +47,21 @@ from .knowledge import KnowledgeOperator
 #: or ``set_limit('solver', ...)`` — the guards consult the live value).
 MAX_EXHAUSTIVE_STATES = limits.get_limit("solver")
 
-#: ``solve_si(parallel="auto")`` switches to the sharded solver when at
-#: least this many state-bits are free (2^12 candidates and up — below
-#: that, process/plan setup costs more than the serial sweep).
+#: ``solve_si(parallel="auto")`` sends a program with no Φ plan to the
+#: sharded pool from this many free state-bits up, and keeps the serial
+#: sweep below it.
 PARALLEL_AUTO_FREE_BITS = 12
+
+#: ``solve_si(parallel="auto")`` sweeps a batchable, uncertified program
+#: with the batched Φ kernel in-process (``workers=1``) below this many
+#: free state-bits, and through the process pool from here up.  Measured
+#: on kbp24 with 2 vCPUs (medians, EXPERIMENTS.md E22): a pool costs about
+#: 30 ms per solve, so in-process wins every pair at 12 bits (18 vs 48 ms)
+#: and 13 (32 vs 60 ms), 14 is a toss-up (4 and 8 wins of 9 in two sets)
+#: and the pool wins every pair from 15 up (92 vs 130 ms).  Below 12 bits
+#: the batched sweep is 60-110x faster than the serial loop (f10: 5.1 vs
+#: 616 ms).
+INPROCESS_AUTO_FREE_BITS = 14
 
 #: Per-resolver LRU budget for memoized resolutions / Φ probes.  Exhaustive
 #: sweeps visit each candidate once (memoization buys nothing there), but
@@ -215,8 +226,9 @@ class SolveReport:
     solutions: Tuple[Predicate, ...]
     candidates_checked: int
     certificate: Optional[object] = None
-    #: :class:`repro.robustness.FaultLog` from supervised parallel sweeps —
-    #: ``None`` for serial solves; ``fault_log.clean`` means no faults fired.
+    #: :class:`repro.robustness.FaultLog` from sharded sweeps, in-process
+    #: ones included (``fault_log.clean`` means no faults fired); ``None``
+    #: for the serial loop and ``FaultPolicy.off()`` pool sweeps.
     fault_log: Optional[object] = None
     #: :class:`repro.core.transport.DispatchStats` from multiprocess sweeps —
     #: bytes shipped per shard, arena size, worker peak RSS; ``None`` for
@@ -304,12 +316,17 @@ def solve_si(
     Pass a :class:`CandidateResolver` to share knowledge-term bodies with
     related solves (the Figure-2 comparison does).
 
-    ``parallel`` routes big exhaustive sweeps through the sharded, batched
-    solver in :mod:`repro.core.parallel` (bit-identical results): ``"auto"``
-    switches over at :data:`PARALLEL_AUTO_FREE_BITS` free state-bits,
-    ``"force"`` always uses it for knowledge-based programs, ``"never"``
-    keeps the serial sweep.  ``workers`` is forwarded to the parallel
-    solver.
+    ``parallel`` routes exhaustive sweeps through the sharded, batched
+    solver in :mod:`repro.core.parallel` (bit-identical results).
+    ``"auto"`` sweeps an uncertified program that compiles to a Φ plan
+    in-process with the batched kernel (``workers=1``) below
+    :data:`INPROCESS_AUTO_FREE_BITS` free state-bits and through the
+    process pool from there up; a program with no plan, or a certified
+    solve, keeps the serial sweep below :data:`PARALLEL_AUTO_FREE_BITS`
+    and takes the pool from there up.  ``"force"`` always uses the
+    sharded solver for knowledge-based programs, ``"never"`` keeps the
+    serial sweep.  ``workers`` is forwarded to the sharded solver, except
+    on ``"auto"``'s in-process route.
 
     ``fault_policy`` (a :class:`repro.robustness.FaultPolicy`) and
     ``checkpoint`` (a journal path or :class:`~repro.robustness.ShardJournal`)
@@ -386,24 +403,32 @@ def solve_si(
         return solve_si_cubes(program, resolver=resolver)
     _check_exhaustive_size(space)
     if parallel != "never":
-        free_bits = space.size - program.init.count()
-        if (
-            parallel == "force"
-            or wants_robustness
-            or free_bits >= PARALLEL_AUTO_FREE_BITS
-        ):
-            from .parallel import solve_si_parallel
+        from . import parallel as sharded
 
-            return solve_si_parallel(
-                program,
-                workers=workers,
-                emit_certificate=emit_certificate,
-                resolver=resolver,
-                fault_policy=fault_policy,
-                checkpoint=checkpoint,
-                progress=progress,
-                remote_workers=remote_workers,
-            )
+        free_bits = space.size - program.init.count()
+        kwargs = dict(
+            workers=workers,
+            emit_certificate=emit_certificate,
+            resolver=resolver,
+            fault_policy=fault_policy,
+            checkpoint=checkpoint,
+            progress=progress,
+            remote_workers=remote_workers,
+        )
+        if parallel == "force" or wants_robustness:
+            return sharded.solve_si_parallel(program, **kwargs)
+        if emit_certificate or free_bits >= INPROCESS_AUTO_FREE_BITS:
+            if free_bits >= PARALLEL_AUTO_FREE_BITS:
+                return sharded.solve_si_parallel(program, **kwargs)
+        else:
+            # Below the pool crossover a batchable sweep runs in-process.
+            # The plan compiled to decide that is handed on, not recompiled.
+            plan = sharded.compile_phi_plan(program)
+            if plan is not None:
+                kwargs["workers"] = 1
+                return sharded._solve_routed(program, plan, **kwargs)
+            if free_bits >= PARALLEL_AUTO_FREE_BITS:
+                return sharded._solve_routed(program, None, **kwargs)
     if resolver is None:
         resolver = CandidateResolver(program)
     if emit_certificate:

@@ -46,6 +46,7 @@ import multiprocessing as mp
 import os
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..predicates import Predicate
@@ -137,7 +138,12 @@ def _resolve_arena_mode(arena: Optional[str]) -> str:
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_SOLVER_WORKERS`` if set, else ``min(8, cpus)``."""
+    """Worker count: ``REPRO_SOLVER_WORKERS`` if set, else ``min(8, cpus)``.
+
+    ``cpus`` counts the CPUs this process may run on (its affinity mask,
+    where the platform has one), not the machine's: under ``taskset -c 0``
+    a pool of two would share one CPU.
+    """
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is not None:
         try:
@@ -149,7 +155,11 @@ def default_workers() -> int:
         if value < 1:
             raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
         return value
-    return min(8, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
 
 
 # ----------------------------------------------------------------------
@@ -361,16 +371,148 @@ def assignment_mask(positions: Sequence[int], assignment: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# per-shard sweep (runs in workers; also in-process when workers == 1)
+# per-shard sweep
 # ----------------------------------------------------------------------
 
-#: Per-process solver state, set by :func:`_init_worker` (or directly by the
-#: in-process path).  A plain dict: fork-started workers inherit nothing
-#: stale because the initializer always overwrites every key.
-_WORKER: Dict[str, Any] = {}
+
+class _ShardSweep:
+    """One solve's shard walk: everything a shard's sweep reads.
+
+    The in-process route builds one per solve and keeps it local, so
+    nested solves and solves on other threads never see each other's
+    state.  A pool worker builds one in :func:`_init_worker` and keeps it
+    in :data:`_WORKER`; a ``repro.worker`` session keeps its own.  The
+    resolver is built lazily: batched sweeps never need one unless a
+    poisoned candidate forces the exact serial re-run.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        base_mask: int,
+        low_positions: List[int],
+        emit_certificate: bool,
+        any_solution: bool,
+        batch_size: int,
+        plan: Optional[PhiPlan] = None,
+        resolver: Optional[Any] = None,
+        fault_plan: Optional[Any] = None,
+    ):
+        self.program = program
+        self.base_mask = base_mask
+        self.low_positions = low_positions
+        self.emit_certificate = emit_certificate
+        self.any_solution = any_solution
+        self.batch_size = batch_size
+        self.plan = plan
+        self.backend = (
+            batch_backend_for(program.space.size, batch_size)
+            if plan is not None
+            else None
+        )
+        self.fault_plan = fault_plan
+        self._resolver = resolver
+
+    def resolver(self):
+        """The sweep's :class:`~repro.core.kbp.CandidateResolver`."""
+        if self._resolver is None:
+            from .kbp import CandidateResolver
+
+            self._resolver = CandidateResolver(self.program)
+        return self._resolver
+
+    def candidates(self, fixed_mask: int) -> Iterator[int]:
+        base = self.base_mask | fixed_mask
+        for gray in gray_masks(self.low_positions):
+            yield base | gray
+
+    def __call__(
+        self, shard_index: int, fixed_mask: int
+    ) -> Tuple[List[int], int, List[Tuple[str, Any]]]:
+        """One shard's sweep: ``(solution_masks, candidates_checked, evidence)``.
+
+        Evidence is empty unless the sweep emits a certificate; with
+        ``any_solution`` the walk stops at the first solution (the
+        returned count is then partial, as documented).  A fault plan's
+        worker-side clauses fire here — ``crash``/``hang`` before the
+        sweep, ``delay`` after it (a valid result arriving late).
+        """
+        if self.fault_plan is not None:
+            self.fault_plan.before_shard(shard_index)
+        if self.emit_certificate:
+            result = self._sweep_certified(fixed_mask)
+        elif self.plan is not None:
+            result = self._sweep_batched(fixed_mask)
+        else:
+            result = self._sweep_resolver(fixed_mask)
+        if self.fault_plan is not None:
+            self.fault_plan.after_shard(shard_index)
+        return result
+
+    def _sweep_batched(self, fixed_mask: int):
+        plan = self.plan
+        backend = self.backend
+        solutions: List[int] = []
+        checked = 0
+        block: List[int] = []
+
+        def flush(block: List[int]) -> bool:
+            try:
+                phis = backend.batch_phi(plan, block)
+            except BatchPoisonError:
+                # Some candidate enables a statement outside its domain; the
+                # serial resolver raises the original error for it.
+                resolver = self.resolver()
+                space = self.program.space
+                phis = [resolver.phi(Predicate(space, m)).mask for m in block]
+            solutions.extend(m for m, value in zip(block, phis) if value == m)
+            return self.any_solution and bool(solutions)
+
+        for mask in self.candidates(fixed_mask):
+            block.append(mask)
+            checked += 1
+            if len(block) >= self.batch_size:
+                if flush(block):
+                    return solutions, checked, []
+                block = []
+        if block:
+            flush(block)
+        return solutions, checked, []
+
+    def _sweep_resolver(self, fixed_mask: int):
+        resolver = self.resolver()
+        space = self.program.space
+        solutions: List[int] = []
+        checked = 0
+        for mask in self.candidates(fixed_mask):
+            checked += 1
+            candidate = Predicate(space, mask)
+            if resolver.phi(candidate) == candidate:
+                solutions.append(mask)
+                if self.any_solution:
+                    break
+        return solutions, checked, []
+
+    def _sweep_certified(self, fixed_mask: int):
+        from .kbp import _candidate_evidence
+
+        resolver = self.resolver()
+        space = self.program.space
+        solutions: List[int] = []
+        checked = 0
+        evidence: List[Tuple[str, Any]] = []
+        for mask in self.candidates(fixed_mask):
+            checked += 1
+            kind, payload = _candidate_evidence(resolver, Predicate(space, mask))
+            evidence.append((kind, payload))
+            if kind == "solution":
+                solutions.append(mask)
+                if self.any_solution:
+                    break
+        return solutions, checked, evidence
 
 
-def _init_worker(
+def _worker_sweep(
     program: Program,
     base_mask: int,
     low_positions: List[int],
@@ -382,159 +524,48 @@ def _init_worker(
     arena_spec: Optional[Any] = None,
     has_plan: bool = True,
     plan: Optional[PhiPlan] = None,
-) -> None:
-    """Per-process solver setup, spawn-start-method clean.
+) -> _ShardSweep:
+    """A worker process's sweep, spawn-start-method clean.
 
-    Everything arrives by value through initargs except the Φ plan's bulk
-    data: with ``arena_spec`` set the worker *re-attaches by segment name*
-    and evaluates through zero-copy views (no plan recompilation, no
-    pickled successor arrays).  Without one — arena disabled, or the
-    program not batchable — the worker compiles its own plan as before.
-    ``backend_selection`` replays the parent's backend choice, which a
-    spawned child would otherwise lose (the selection is process-global
-    state, not environment).  The resolver is built lazily: batched arena
-    sweeps never need one unless a poisoned candidate forces the exact
-    serial re-run.
+    Everything arrives by value except the Φ plan's bulk data: a shipped
+    ``plan`` (the socket worker's payload path) is used as is; with
+    ``arena_spec`` set the worker *re-attaches by segment name* and
+    evaluates through zero-copy views (no plan recompilation, no pickled
+    successor arrays).  Without either — arena disabled — the worker
+    compiles its own plan; ``has_plan=False`` (the program is not
+    batchable) spares it the attempt.  ``backend_selection`` replays the
+    parent's backend choice, which a spawned child would otherwise lose
+    (the selection is process-global state, not environment).
     """
     if backend_selection is not None:
         set_default_backend(backend_selection)
-    if plan is not None:
-        # A shipped plan (the socket worker's payload-fallback path) wins:
-        # nothing to attach, nothing to recompile.
-        pass
-    elif emit_certificate or not has_plan:
-        plan = None
-    elif arena_spec is not None:
-        plan = arena_spec.attach(program.space)
-    else:
-        plan = compile_phi_plan(program)
-    _WORKER.clear()
-    _WORKER.update(
-        program=program,
-        resolver=None,
-        plan=plan,
-        backend=batch_backend_for(program.space.size, batch_size)
-        if plan is not None
-        else None,
-        base_mask=base_mask,
-        low_positions=low_positions,
-        emit_certificate=emit_certificate,
-        any_solution=any_solution,
-        batch_size=batch_size,
-        fault_plan=fault_plan,
+    if plan is None and has_plan and not emit_certificate:
+        if arena_spec is not None:
+            plan = arena_spec.attach(program.space)
+        else:
+            plan = compile_phi_plan(program)
+    return _ShardSweep(
+        program, base_mask, low_positions, emit_certificate, any_solution,
+        batch_size, plan=plan, fault_plan=fault_plan,
     )
 
 
-def _worker_resolver():
-    """The process's :class:`CandidateResolver`, built on first use."""
-    resolver = _WORKER.get("resolver")
-    if resolver is None:
-        from .kbp import CandidateResolver
-
-        resolver = CandidateResolver(_WORKER["program"])
-        _WORKER["resolver"] = resolver
-    return resolver
+#: The pool worker's sweep, set by :func:`_init_worker`.  Process-global
+#: state is safe here: a pool process serves exactly one solve.
+_WORKER: Optional[_ShardSweep] = None
 
 
-def _shard_candidates(fixed_mask: int) -> Iterator[int]:
-    base = _WORKER["base_mask"] | fixed_mask
-    for gray in gray_masks(_WORKER["low_positions"]):
-        yield base | gray
+def _init_worker(*args: Any, **kwargs: Any) -> None:
+    """Pool initializer: build this process's sweep (:func:`_worker_sweep`)."""
+    global _WORKER
+    _WORKER = _worker_sweep(*args, **kwargs)
 
 
 def _sweep_shard(
     shard_index: int, fixed_mask: int
 ) -> Tuple[List[int], int, List[Tuple[str, Any]]]:
-    """One shard's sweep: ``(solution_masks, candidates_checked, evidence)``.
-
-    Evidence is empty unless the worker was initialized with
-    ``emit_certificate``; with ``any_solution`` the walk stops at the first
-    solution (the returned count is then partial, as documented).  When a
-    fault plan was threaded through :func:`_init_worker`, its worker-side
-    clauses fire here — ``crash``/``hang`` before the sweep, ``delay``
-    after it (a valid result arriving late).
-    """
-    fault_plan = _WORKER.get("fault_plan")
-    if fault_plan is not None:
-        fault_plan.before_shard(shard_index)
-    if _WORKER["emit_certificate"]:
-        result = _sweep_shard_certified(fixed_mask)
-    elif _WORKER["plan"] is not None:
-        result = _sweep_shard_batched(fixed_mask)
-    else:
-        result = _sweep_shard_resolver(fixed_mask)
-    if fault_plan is not None:
-        fault_plan.after_shard(shard_index)
-    return result
-
-
-def _sweep_shard_batched(fixed_mask: int):
-    plan: PhiPlan = _WORKER["plan"]
-    backend = _WORKER["backend"]
-    any_solution = _WORKER["any_solution"]
-    batch_size = _WORKER["batch_size"]
-    solutions: List[int] = []
-    checked = 0
-    block: List[int] = []
-
-    def flush(block: List[int]) -> bool:
-        try:
-            phis = backend.batch_phi(plan, block)
-        except BatchPoisonError:
-            # Some candidate enables a statement outside its domain; the
-            # serial resolver raises the original error for it.
-            resolver = _worker_resolver()
-            space = _WORKER["program"].space
-            phis = [resolver.phi(Predicate(space, m)).mask for m in block]
-        solutions.extend(m for m, value in zip(block, phis) if value == m)
-        return any_solution and bool(solutions)
-
-    for mask in _shard_candidates(fixed_mask):
-        block.append(mask)
-        checked += 1
-        if len(block) >= batch_size:
-            if flush(block):
-                return solutions, checked, []
-            block = []
-    if block:
-        flush(block)
-    return solutions, checked, []
-
-
-def _sweep_shard_resolver(fixed_mask: int):
-    resolver = _worker_resolver()
-    space = _WORKER["program"].space
-    any_solution = _WORKER["any_solution"]
-    solutions: List[int] = []
-    checked = 0
-    for mask in _shard_candidates(fixed_mask):
-        checked += 1
-        candidate = Predicate(space, mask)
-        if resolver.phi(candidate) == candidate:
-            solutions.append(mask)
-            if any_solution:
-                break
-    return solutions, checked, []
-
-
-def _sweep_shard_certified(fixed_mask: int):
-    from .kbp import _candidate_evidence
-
-    resolver = _worker_resolver()
-    space = _WORKER["program"].space
-    any_solution = _WORKER["any_solution"]
-    solutions: List[int] = []
-    checked = 0
-    evidence: List[Tuple[str, Any]] = []
-    for mask in _shard_candidates(fixed_mask):
-        checked += 1
-        kind, payload = _candidate_evidence(resolver, Predicate(space, mask))
-        evidence.append((kind, payload))
-        if kind == "solution":
-            solutions.append(mask)
-            if any_solution:
-                break
-    return solutions, checked, evidence
+    """The pool task: one shard of this worker process's sweep."""
+    return _WORKER(shard_index, fixed_mask)
 
 
 # ----------------------------------------------------------------------
@@ -584,6 +615,25 @@ def _journal_header(
         "emit_certificate": bool(emit_certificate),
         "batch_size": batch_size,
     }
+
+
+#: ``(program, plan)`` compiled by :func:`repro.core.kbp.solve_si` to pick
+#: its route, for the :func:`solve_si_parallel` call it then makes — so a
+#: routed solve compiles its plan once.  ``plan`` is ``None`` when the
+#: program is not batchable.  A context variable, so concurrent solves on
+#: other threads never see it.
+_ROUTED_PLAN: ContextVar[Optional[Tuple[Program, Optional[PhiPlan]]]] = (
+    ContextVar("repro_routed_plan", default=None)
+)
+
+
+def _solve_routed(program: Program, plan: Optional[PhiPlan], **kwargs: Any):
+    """:func:`solve_si_parallel` reusing ``plan``, the router's compile."""
+    token = _ROUTED_PLAN.set((program, plan))
+    try:
+        return solve_si_parallel(program, **kwargs)
+    finally:
+        _ROUTED_PLAN.reset(token)
 
 
 def solve_si_parallel(
@@ -725,11 +775,18 @@ def solve_si_parallel(
 
     resolved_method = _resolve_start_method(start_method)
     arena_mode = _resolve_arena_mode(arena)
-    # The plan is compiled exactly once, parent-side.  The in-process sweep
-    # uses it directly; pool workers either attach the arena built from it
-    # (zero-copy) or, with arenas off, recompile their own — `has_plan`
-    # spares them the attempt when the program is not batchable at all.
-    plan = None if emit_certificate else compile_phi_plan(program)
+    # The plan is compiled exactly once, parent-side (or was, by the
+    # `solve_si` router).  The in-process sweep uses it directly; pool
+    # workers either attach the arena built from it (zero-copy) or, with
+    # arenas off, recompile their own — `has_plan` spares them the attempt
+    # when the program is not batchable at all.
+    plan = None
+    if not emit_certificate:
+        routed = _ROUTED_PLAN.get()
+        if routed is not None and routed[0] is program:
+            plan = routed[1]
+        else:
+            plan = compile_phi_plan(program)
     backend_selection = get_default_backend()
     if isinstance(backend_selection, PredicateBackend):
         backend_selection = backend_selection.name
@@ -805,32 +862,15 @@ def solve_si_parallel(
         if workers == 1 or fault_policy.supervised:
             in_process = workers == 1
 
-            parent_ready = [False]
-
-            def serial_runner(index: int, fixed: int):
-                # The in-process sweep: also the supervisor's degradation
-                # path.  Reuses the parent-compiled plan (no arena — the
-                # whole point of shared memory is crossing a process
-                # boundary) and honors a caller-supplied resolver.  No
-                # fault plan — a crash clause must not kill the parent.
-                if not parent_ready[0]:
-                    _WORKER.clear()
-                    _WORKER.update(
-                        program=program,
-                        resolver=resolver,
-                        plan=plan,
-                        backend=batch_backend_for(space.size, batch_size)
-                        if plan is not None
-                        else None,
-                        base_mask=base_mask,
-                        low_positions=low_positions,
-                        emit_certificate=emit_certificate,
-                        any_solution=any_solution,
-                        batch_size=batch_size,
-                        fault_plan=None,
-                    )
-                    parent_ready[0] = True
-                return _sweep_shard(index, fixed)
+            # The in-process sweep, also the supervisor's degradation path:
+            # this solve's own state, reusing the parent-compiled plan (no
+            # arena — shared memory is for crossing a process boundary) and
+            # a caller-supplied resolver.  No fault plan — a crash clause
+            # must not kill the parent.
+            serial_runner = _ShardSweep(
+                program, base_mask, low_positions, emit_certificate,
+                any_solution, batch_size, plan=plan, resolver=resolver,
+            )
 
             drain_hook = None
             if collect_stats and not in_process:
@@ -858,11 +898,7 @@ def solve_si_parallel(
                 drain_hook=drain_hook,
                 log=shared_log,
             )
-            try:
-                solution_masks, checked, evidence = supervisor.run()
-            finally:
-                if parent_ready[0]:
-                    _WORKER.clear()
+            solution_masks, checked, evidence = supervisor.run()
             fault_log = supervisor.log
         else:
             # FaultPolicy.off(): the bare PR-3 wait loop — no leases, no

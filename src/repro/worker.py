@@ -1,8 +1,9 @@
 """``python -m repro.worker`` — a remote shard worker daemon.
 
 One daemon serves shard sweeps over TCP to any number of coordinating
-solves, one at a time (the sweep state is process-global, so concurrent
-sessions serialize on a lock).  The protocol (DESIGN.md §15) is the
+solves, one at a time (each session keeps its own sweep, but the
+backend selection it replays is process-global, so concurrent sessions
+serialize on a lock).  The protocol (DESIGN.md §15) is the
 length-prefixed, digest-checked frame format of :mod:`repro.core.netproto`:
 
 1. the daemon opens with ``hello``, and — when it holds the shared
@@ -22,8 +23,8 @@ length-prefixed, digest-checked frame format of :mod:`repro.core.netproto`:
    host), and otherwise answers ``need-plan`` — the coordinator ships the
    full Φ-plan payload, which is exactly the remote-host fallback;
 4. each ``shard`` frame names ``(index, fixed_mask, attempt)``; the
-   daemon sweeps it with the *same* ``_sweep_shard`` a pool worker runs
-   and answers a ``result`` frame keyed by that mask and attempt, sending
+   daemon sweeps it with the *same* shard sweep a pool worker runs and
+   answers a ``result`` frame keyed by that mask and attempt, sending
    ``heartbeat`` frames from a side thread while the sweep computes;
 5. ``rss`` answers peak memory, ``bye`` ends the session.
 
@@ -65,7 +66,7 @@ from .core.netproto import (
     send_frame,
 )
 
-#: Only one session may own the process-global sweep state at a time.
+#: Only one session may own the process-global backend selection at a time.
 _SESSION_LOCK = threading.Lock()
 
 
@@ -136,6 +137,8 @@ class Session:
         self.write_lock = threading.Lock()
         self.heartbeat_interval = 0.5
         self.net_plan: Optional[Any] = None
+        #: this session's shard sweep, built at attach
+        self.sweep: Optional[Any] = None
 
     def log(self, message: str) -> None:
         if self.verbose:
@@ -181,10 +184,9 @@ class Session:
             # coordinator fails fast instead of waiting out its deadline.
             self.fail(f"worker internal error: {exc!r}")
         finally:
-            plan = parallel._WORKER.get("plan")
+            plan = self.sweep.plan if self.sweep is not None else None
             if plan is not None and hasattr(plan, "close"):
                 plan.close()  # unmap an attached arena before gc sees it
-            parallel._WORKER.clear()
             for stream in (self.rfile, self.wfile, self.conn):
                 try:
                     stream.close()
@@ -304,7 +306,7 @@ class Session:
         if fault_plan is not None and hasattr(fault_plan, "before_result"):
             self.net_plan = fault_plan
 
-        parallel._init_worker(
+        self.sweep = parallel._worker_sweep(
             program,
             base_mask,
             low_positions,
@@ -331,7 +333,7 @@ class Session:
         attempt = int(header.get("attempt", 1))
         with _Heartbeat(self.wfile, self.write_lock, self.heartbeat_interval):
             try:
-                result = parallel._sweep_shard(index, fixed_mask)
+                result = self.sweep(index, fixed_mask)
             except Exception as exc:
                 self.fail(f"shard {index} failed: {exc!r}")
                 return
@@ -433,9 +435,9 @@ def serve(
             peer = f"{addr[0]}:{addr[1]}"
 
             def _run(conn=conn, peer=peer):
-                # Sessions share the process-global sweep state; a second
-                # coordinator waits its turn rather than corrupting the
-                # first one's plan.
+                # Sessions share the process-global backend selection; a
+                # second coordinator waits its turn rather than switching
+                # the first one's backend mid-sweep.
                 with _SESSION_LOCK:
                     Session(conn, peer, verbose=verbose, key=key).run()
 

@@ -9,9 +9,16 @@ Three layers of property tests:
 * whole solves — plain, certified, early-exit — produce reports (and
   certificate payloads) identical to the serial sweep, across worker
   counts and backends.
+
+Then the routing of ``solve_si(parallel="auto")`` (in-process batched
+sweep, serial loop or pool), and the in-process sweep's state, which
+belongs to one solve: nested solves and solves on other threads must not
+disturb it.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +26,9 @@ from hypothesis import strategies as st
 
 from repro.core import compile_phi_plan, solve_si, solve_si_parallel
 from repro.core.kbp import (
+    INPROCESS_AUTO_FREE_BITS,
     MAX_EXHAUSTIVE_STATES,
+    PARALLEL_AUTO_FREE_BITS,
     CandidateResolver,
     _supersets_of,
 )
@@ -120,6 +129,17 @@ def test_default_workers_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_SOLVER_WORKERS", "0")
     with pytest.raises(ValueError):
         default_workers()
+
+
+def test_default_workers_honours_cpu_affinity(monkeypatch):
+    """``taskset -c 0`` on a many-CPU host means one worker, not one per CPU."""
+    monkeypatch.delenv("REPRO_SOLVER_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_workers() == 1
+    # Platforms without affinity masks fall back to the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_workers() == 4
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +256,7 @@ def test_any_solution_agrees_on_well_posedness(program):
     assert quick.candidates_checked <= serial.candidates_checked
 
 
-def test_nested_knowledge_falls_back_to_resolver_path():
-    """Nested K makes the plan ineligible; the sweep must still be exact."""
+def _nested_program() -> Program:
     space = space_of(a=BoolDomain(), b=BoolDomain(), c=BoolDomain())
     statements = [
         Statement(
@@ -248,9 +267,14 @@ def test_nested_knowledge_falls_back_to_resolver_path():
         ),
         Statement(name="s1", targets=("b",), exprs=(Const(False),)),
     ]
-    program = Program(
+    return Program(
         space, Predicate(space, 1), statements, processes=_VIEWS, name="nested"
     )
+
+
+def test_nested_knowledge_falls_back_to_resolver_path():
+    """Nested K makes the plan ineligible; the sweep must still be exact."""
+    program = _nested_program()
     assert compile_phi_plan(program) is None
     serial = solve_si(program, parallel="never")
     parallel = solve_si_parallel(program, workers=2)
@@ -338,6 +362,233 @@ def test_solve_si_routing_knobs():
     forced = solve_si(program, parallel="force", workers=1)
     serial = solve_si(program, parallel="never")
     _assert_same_report(serial, forced)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Record each ``solve_si_parallel`` call's ``workers`` and count
+    ``compile_phi_plan`` calls, calling through to both."""
+    from repro.core import parallel
+
+    seen = {"workers": [], "compiles": 0}
+    real_solve = parallel.solve_si_parallel
+    real_compile = parallel.compile_phi_plan
+
+    def solve_spy(program, **kwargs):
+        seen["workers"].append(kwargs.get("workers"))
+        return real_solve(program, **kwargs)
+
+    def compile_spy(program):
+        seen["compiles"] += 1
+        return real_compile(program)
+
+    monkeypatch.setattr(parallel, "solve_si_parallel", solve_spy)
+    monkeypatch.setattr(parallel, "compile_phi_plan", compile_spy)
+    return seen
+
+
+def test_auto_route_sweeps_in_process_below_the_pool_crossover(routes):
+    from repro.certificates import build_model
+
+    below = build_model(f"kbp24-f{INPROCESS_AUTO_FREE_BITS - 1}").program
+    report = solve_si(below)
+    assert routes["workers"] == [1]  # the batched in-process sweep
+    assert routes["compiles"] == 1  # the router's plan, not a second one
+    assert report.dispatch is None and report.fault_log.clean
+
+    routes["workers"].clear()
+    at = build_model(f"kbp24-f{INPROCESS_AUTO_FREE_BITS}").program
+    solve_si(at)
+    assert routes["workers"] == [None]  # the default-sized pool
+    assert routes["compiles"] == 2  # one per solve
+
+
+def test_auto_route_keeps_the_serial_loop_without_a_plan(routes):
+    """Nested K has no Φ plan: below 12 free bits the serial loop stays."""
+    program = _nested_program()
+    assert program.space.size - program.init.count() < PARALLEL_AUTO_FREE_BITS
+    report = solve_si(program)
+    assert routes["workers"] == []
+    assert report.fault_log is None
+    _assert_same_report(solve_si(program, parallel="never"), report)
+
+
+def test_auto_route_keeps_certified_solves_serial(routes):
+    from repro.certificates import build_model
+
+    solve_si(build_model("kbp24-f6").program, emit_certificate=True)
+    assert routes["workers"] == [] and routes["compiles"] == 0
+
+
+@pytest.fixture(scope="module")
+def serial_kbp24():
+    """``parallel="never"`` on the exact int backend, once per program."""
+    reports = {}
+
+    def reference(program):
+        if program.name not in reports:
+            with using_backend("int"):
+                reports[program.name] = solve_si(program, parallel="never")
+        return reports[program.name]
+
+    return reference
+
+
+@pytest.mark.parametrize("backend_name", ["int", "numpy"])
+@pytest.mark.parametrize("free_bits", range(4, 14))
+def test_auto_route_matches_the_serial_sweep_on_kbp24(
+    free_bits, backend_name, serial_kbp24
+):
+    from repro.certificates import build_model
+
+    program = build_model(f"kbp24-f{free_bits}").program
+    with using_backend(backend_name):
+        report = solve_si(program)
+    _assert_same_report(serial_kbp24(program), report)
+
+
+# ----------------------------------------------------------------------
+# in-process sweep state is per solve
+# ----------------------------------------------------------------------
+
+
+def test_nested_in_process_solve_keeps_the_outer_solve_intact(tmp_path):
+    """A progress callback that runs another in-process solve must not
+    disturb the solve it is called from."""
+    from repro.certificates import build_model
+
+    outer = build_model("kbp24-f8").program
+    inner = build_model("kbp24-f6").program
+    inner_reports = []
+
+    def progress(tick):
+        inner_reports.append(solve_si_parallel(inner, workers=1))
+
+    report = solve_si_parallel(
+        outer, workers=1, checkpoint=tmp_path / "outer.journal",
+        progress=progress,
+    )
+    _assert_same_report(solve_si(outer, parallel="never"), report)
+    assert len(inner_reports) > 1
+    inner_serial = solve_si(inner, parallel="never")
+    for inner_report in inner_reports:
+        _assert_same_report(inner_serial, inner_report)
+
+
+#: Bound on every wait and join below; only a deadlock would reach it.
+_DEADLOCK_S = 120
+
+
+def test_concurrent_certified_in_process_solves(tmp_path):
+    """Two threads, two programs: thread A pauses after its first shard
+    until thread B's whole solve has run, then finishes its own sweep."""
+    import threading
+
+    from repro.certificates import build_model
+    from repro.certificates.canonical import payload_digest
+
+    programs = {
+        "a": build_model("kbp24-f7").program,
+        "b": build_model("kbp24-f6").program,
+    }
+    a_paused, b_done = threading.Event(), threading.Event()
+    reports, errors = {}, []
+
+    def pause_once(tick):
+        if not a_paused.is_set():
+            a_paused.set()
+            b_done.wait(_DEADLOCK_S)
+
+    def solve_a():
+        try:
+            reports["a"] = solve_si_parallel(
+                programs["a"], workers=1, emit_certificate=True,
+                checkpoint=tmp_path / "a.journal", progress=pause_once,
+            )
+        except Exception as exc:  # reported below, never swallowed
+            errors.append(exc)
+        finally:
+            a_paused.set()
+
+    def solve_b():
+        a_paused.wait(_DEADLOCK_S)
+        try:
+            reports["b"] = solve_si_parallel(
+                programs["b"], workers=1, emit_certificate=True
+            )
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            b_done.set()
+
+    threads = [threading.Thread(target=solve_a), threading.Thread(target=solve_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(_DEADLOCK_S)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for key, program in programs.items():
+        serial = solve_si(program, emit_certificate=True, parallel="never")
+        _assert_same_report(serial, reports[key])
+        assert payload_digest(reports[key].certificate.to_payload()) == (
+            payload_digest(serial.certificate.to_payload())
+        )
+
+
+def test_in_process_solves_on_many_threads():
+    """More threads than CPUs, switching as often as the interpreter lets
+    them, each running default-route and certified in-process solves:
+    every report must equal the serial sweep's."""
+    import sys
+    import threading
+
+    from repro.certificates import build_model
+    from repro.certificates.canonical import payload_digest
+
+    def summary(report):
+        masks = [p.mask for p in report.solutions]
+        if report.certificate is None:
+            return report.candidates_checked, masks
+        digest = payload_digest(report.certificate.to_payload())
+        return report.candidates_checked, masks, digest
+
+    programs = [build_model(f"kbp24-f{k}").program for k in (5, 6, 8, 9)]
+    serial = [
+        summary(solve_si(p, parallel="never", emit_certificate=True))
+        for p in programs
+    ]
+    mismatches, errors = [], []
+
+    def sweep(offset):
+        try:
+            for step in range(6):
+                index = (offset + step) % len(programs)
+                if step % 3 == 0:
+                    report = solve_si_parallel(
+                        programs[index], workers=1, emit_certificate=True
+                    )
+                    expected = serial[index]
+                else:
+                    report = solve_si(programs[index])  # in-process route
+                    expected = serial[index][:2]
+                if summary(report) != expected:
+                    mismatches.append((offset, step))
+        except Exception as exc:  # reported below, never swallowed
+            errors.append(exc)
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(_DEADLOCK_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and mismatches == []
 
 
 def test_size_guard_names_both_escape_hatches():
