@@ -239,10 +239,10 @@ def test_parallel_solver_speedup(benchmark):
 def test_zero_copy_dispatch_scaling(benchmark):
     """Speedup vs worker count, plus what dispatch actually ships.
 
-    The zero-copy arena claim in numbers: bytes-per-shard stays at the
-    descriptor size (two pickled ints) at every worker count, worker peak
-    RSS is sampled through the transport, and the before/after columns —
-    arena vs ``arena="never"`` — land in the trajectory file.
+    Bytes-per-shard stays at the descriptor size (two pickled ints) at
+    every worker count — the Φ plan travels once, in the pool's initargs
+    (``init_bytes``) — and worker peak RSS is sampled through the
+    transport; all three land in the trajectory file.
     """
     rng = random.Random(2025)
     program = _speedup_kbp(rng, _SPEEDUP_FREE_BITS)
@@ -257,24 +257,17 @@ def test_zero_copy_dispatch_scaling(benchmark):
                 program, workers=count, collect_stats=True
             )
             timings[count] = time.perf_counter() - start
-        no_arena = solve_si_parallel(
-            program, workers=2, arena="never", collect_stats=True
-        )
-        return timings, reports, no_arena
+        return timings, reports
 
-    timings, reports, no_arena = once(benchmark, run)
+    timings, reports = once(benchmark, run)
     reference = reports[worker_counts[0]]
     for count in worker_counts[1:]:
         assert reports[count].candidates_checked == reference.candidates_checked
         assert tuple(p.mask for p in reports[count].solutions) == tuple(
             p.mask for p in reference.solutions
         )
-    assert tuple(p.mask for p in no_arena.solutions) == tuple(
-        p.mask for p in reference.solutions
-    )
 
     multi = reports[max(worker_counts)].dispatch.as_dict()
-    assert multi["arena_segments"] == 1
     assert multi["bytes_per_shard"] < 100, multi
     scaling = {
         str(count): round(timings[count], 3) for count in worker_counts
@@ -287,16 +280,14 @@ def test_zero_copy_dispatch_scaling(benchmark):
     _RESULTS["scaling_speedup"] = speedups
     _RESULTS["dispatch_bytes_per_shard"] = multi["bytes_per_shard"]
     _RESULTS["peak_worker_rss_kb"] = multi["worker_peak_rss_kb"]
-    _RESULTS["arena_bytes"] = multi["arena_bytes"]
-    _RESULTS["init_bytes_arena"] = multi["init_bytes"]
-    _RESULTS["init_bytes_no_arena"] = no_arena.dispatch.as_dict()["init_bytes"]
+    _RESULTS["init_bytes"] = multi["init_bytes"]
     record(
         benchmark,
         scaling_seconds=scaling,
         scaling_speedup=speedups,
         dispatch_bytes_per_shard=multi["bytes_per_shard"],
         peak_worker_rss_kb=multi["worker_peak_rss_kb"],
-        arena_bytes=multi["arena_bytes"],
+        init_bytes=multi["init_bytes"],
     )
 
 

@@ -228,11 +228,11 @@ class SolveReport:
     certificate: Optional[object] = None
     #: :class:`repro.robustness.FaultLog` from sharded sweeps, in-process
     #: ones included (``fault_log.clean`` means no faults fired); ``None``
-    #: for the serial loop and ``FaultPolicy.off()`` pool sweeps.
+    #: for the serial loop.
     fault_log: Optional[object] = None
     #: :class:`repro.core.transport.DispatchStats` from multiprocess sweeps —
-    #: bytes shipped per shard, arena size, worker peak RSS; ``None`` for
-    #: serial and in-process solves.
+    #: bytes shipped per shard, the one-time init payload, worker peak RSS;
+    #: ``None`` for serial and in-process solves.
     dispatch: Optional[object] = None
 
     @property

@@ -53,7 +53,7 @@ from typing import Any, Dict, Optional, Tuple
 #: is a few hundred bytes; past this the peer is broken or hostile.
 MAX_LINE_BYTES = 64 * 1024
 
-#: Cap on a frame body (plan payloads, shard results).  Far above any real
+#: Cap on a frame body (attach payloads, shard results).  Far above any real
 #: payload, far below "allocate until the OOM killer arrives".
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
@@ -63,8 +63,10 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 READ_DEADLINE = 600.0
 
 #: Worker protocol tag, echoed in attach handshakes.  /2 added the
-#: mandatory hello/auth handshake ahead of ``attach``.
-WORKER_PROTOCOL = "repro-worker/2"
+#: mandatory hello/auth handshake ahead of ``attach``; /3 carries the Φ
+#: plan inside the ``attach`` payload and drops the ``need-plan``/``plan``
+#: exchange.
+WORKER_PROTOCOL = "repro-worker/3"
 
 #: Shared-secret knob for the worker protocol: both the daemon and the
 #: coordinator read it (the daemon also takes ``--key-file``).  Any

@@ -44,13 +44,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..predicates import Predicate
-from ..predicates.arena import SolveArena
 from ..predicates.backends import (
     PredicateBackend,
     batch_backend_for,
@@ -69,7 +66,6 @@ from ..unity.expressions import Binary, Ite, Knowledge, Unary
 from .transport import (
     DispatchStats,
     LocalPoolTransport,
-    ShardLeaseRevoked,
     SocketTransport,
     SocketTransportError,
     parse_address,
@@ -83,9 +79,6 @@ WORKERS_ENV_VAR = "REPRO_SOLVER_WORKERS"
 
 #: Environment knob for the pool start method ("fork", "spawn", ...).
 START_METHOD_ENV_VAR = "REPRO_SOLVER_START_METHOD"
-
-#: Environment knob for arena dispatch: "auto" (default) or "never".
-ARENA_ENV_VAR = "REPRO_SOLVER_ARENA"
 
 #: Environment knob: comma-separated ``host:port`` list of
 #: ``python -m repro.worker`` daemons to dispatch shards to over TCP.
@@ -112,9 +105,9 @@ def _resolve_remote_workers(
 def _resolve_start_method(start_method: Optional[str]) -> str:
     """The pool start method: explicit arg, then env, then fork-if-available.
 
-    The arena makes workers spawn-clean (nothing is inherited that cannot
-    be re-attached by name), so any method the platform offers is valid;
-    fork stays the default for its startup cost.
+    Workers are spawn-clean (everything they need arrives in the pool's
+    initargs, the Φ plan included), so any method the platform offers is
+    valid; fork stays the default for its startup cost.
     """
     if start_method is None:
         start_method = os.environ.get(START_METHOD_ENV_VAR) or None
@@ -127,14 +120,6 @@ def _resolve_start_method(start_method: Optional[str]) -> str:
             f"(have {methods})"
         )
     return start_method
-
-
-def _resolve_arena_mode(arena: Optional[str]) -> str:
-    if arena is None:
-        arena = os.environ.get(ARENA_ENV_VAR, "").strip().lower() or "auto"
-    if arena not in ("auto", "never"):
-        raise ValueError(f"arena={arena!r} is not one of 'auto', 'never'")
-    return arena
 
 
 def default_workers() -> int:
@@ -521,29 +506,20 @@ def _worker_sweep(
     batch_size: int,
     fault_plan: Optional[Any] = None,
     backend_selection: Optional[str] = None,
-    arena_spec: Optional[Any] = None,
-    has_plan: bool = True,
     plan: Optional[PhiPlan] = None,
 ) -> _ShardSweep:
     """A worker process's sweep, spawn-start-method clean.
 
-    Everything arrives by value except the Φ plan's bulk data: a shipped
-    ``plan`` (the socket worker's payload path) is used as is; with
-    ``arena_spec`` set the worker *re-attaches by segment name* and
-    evaluates through zero-copy views (no plan recompilation, no pickled
-    successor arrays).  Without either — arena disabled — the worker
-    compiles its own plan; ``has_plan=False`` (the program is not
-    batchable) spares it the attempt.  ``backend_selection`` replays the
+    Everything arrives by value, the parent's compiled Φ ``plan``
+    included: a worker never recompiles it, so it computes over exactly
+    the coordinator's plan.  ``plan`` is ``None`` when the program is not
+    batchable or the solve is certified; the sweep then takes the
+    per-candidate resolver path.  ``backend_selection`` replays the
     parent's backend choice, which a spawned child would otherwise lose
     (the selection is process-global state, not environment).
     """
     if backend_selection is not None:
         set_default_backend(backend_selection)
-    if plan is None and has_plan and not emit_certificate:
-        if arena_spec is not None:
-            plan = arena_spec.attach(program.space)
-        else:
-            plan = compile_phi_plan(program)
     return _ShardSweep(
         program, base_mask, low_positions, emit_certificate, any_solution,
         batch_size, plan=plan, fault_plan=fault_plan,
@@ -648,7 +624,6 @@ def solve_si_parallel(
     fault_plan: Optional[Any] = None,
     progress: Optional[Any] = None,
     start_method: Optional[str] = None,
-    arena: Optional[str] = None,
     collect_stats: bool = False,
     remote_workers: Optional[Sequence[str]] = None,
 ):
@@ -671,21 +646,20 @@ def solve_si_parallel(
     :class:`repro.robustness.ShardSupervisor` — shards lost to worker
     crashes or deadlines are re-dispatched (re-spawning the pool), and a
     shard that exhausts its retry budget falls back to the in-process
-    sweep.  ``fault_policy`` tunes this (``FaultPolicy.off()`` restores the
-    bare pool loop, where a broken pool raises
-    :class:`~repro.robustness.SolverWorkerError`); the report's
-    ``fault_log`` records every incident.  ``checkpoint`` names a journal
-    file (or :class:`~repro.robustness.ShardJournal`): completed shards are
-    journaled as they land, and a killed solve re-run with the same
-    checkpoint resumes from disk — the final report and certificate are
-    byte-identical to an uninterrupted run.  ``fault_plan`` (or the
-    ``REPRO_FAULT_PLAN`` environment variable) injects deterministic
-    faults for the chaos suite.
+    sweep.  ``fault_policy`` tunes this (``FaultPolicy.off()`` allows one
+    attempt per shard and no fallback, so a broken pool raises
+    :class:`~repro.robustness.SolverWorkerError` naming the lost shard);
+    the report's ``fault_log`` records every incident.  ``checkpoint``
+    names a journal file (or :class:`~repro.robustness.ShardJournal`):
+    completed shards are journaled as they land, and a killed solve re-run
+    with the same checkpoint resumes from disk — the final report and
+    certificate are byte-identical to an uninterrupted run.
+    ``fault_plan`` (or the ``REPRO_FAULT_PLAN`` environment variable)
+    injects deterministic faults for the chaos suite.
 
     ``progress`` is an optional callback receiving
     :class:`~repro.robustness.SolveProgress` ticks — one per resumed
-    batch and one per completed shard, in journal order.  It is honored
-    on supervised sweeps only (``FaultPolicy.off()`` ignores it).
+    batch and one per completed shard, in journal order.
 
     ``remote_workers`` (or ``REPRO_SOLVER_REMOTE_WORKERS``) names
     ``host:port`` addresses of ``python -m repro.worker`` daemons; shards
@@ -698,7 +672,6 @@ def solve_si_parallel(
     with the per-shard serial fallback as the last resort.  Reports and
     certificates stay byte-identical to serial throughout.
     """
-    from ..certificates.canonical import payload_digest
     from ..robustness import (
         FaultLog,
         FaultPlan,
@@ -736,11 +709,6 @@ def solve_si_parallel(
         raise ValueError(
             "checkpoint requires a complete sweep; any_solution stops early"
         )
-    if checkpoint is not None and not fault_policy.supervised:
-        raise ValueError(
-            "checkpoint journals need a supervised policy; drop "
-            "FaultPolicy.off() or the checkpoint"
-        )
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
 
@@ -774,12 +742,10 @@ def solve_si_parallel(
     )
 
     resolved_method = _resolve_start_method(start_method)
-    arena_mode = _resolve_arena_mode(arena)
     # The plan is compiled exactly once, parent-side (or was, by the
-    # `solve_si` router).  The in-process sweep uses it directly; pool
-    # workers either attach the arena built from it (zero-copy) or, with
-    # arenas off, recompile their own — `has_plan` spares them the attempt
-    # when the program is not batchable at all.
+    # `solve_si` router).  The in-process sweep uses it directly and every
+    # worker receives it by value: inherited under fork, pickled once per
+    # worker under spawn, carried in the attach payload over sockets.
     plan = None
     if not emit_certificate:
         routed = _ROUTED_PLAN.get()
@@ -791,25 +757,12 @@ def solve_si_parallel(
     if isinstance(backend_selection, PredicateBackend):
         backend_selection = backend_selection.name
     stats = DispatchStats(start_method=resolved_method) if workers > 1 else None
-    arena_holder: List[Optional[SolveArena]] = [None]
     # One log serves the supervisor *and* the pool factory, so transport
     # degradation (socket → local) is an incident on the report, not a
     # silent change of dispatch mechanism.
     shared_log = FaultLog()
 
     def pool_factory():
-        # Lazy on both axes: no pool → no arena (a fully journaled resume
-        # never pays for either), and one arena serves every pool respawn
-        # (workers re-attach by segment name).
-        arena_spec = None
-        if arena_mode == "auto" and plan is not None:
-            if arena_holder[0] is None:
-                digest = payload_digest(header["program"]).split(":", 1)[-1]
-                arena_holder[0] = SolveArena.build(plan, digest)
-                if stats is not None:
-                    stats.arena_bytes = arena_holder[0].nbytes
-                    stats.arena_segments = 1
-            arena_spec = arena_holder[0].spec
         if addresses:
             try:
                 return SocketTransport(
@@ -824,10 +777,8 @@ def solve_si_parallel(
                         batch_size=batch_size,
                         fault_plan=fault_plan,
                         backend_selection=backend_selection,
-                        arena_spec=arena_spec,
-                        has_plan=plan is not None,
+                        plan=plan,
                     ),
-                    plan=plan,
                     policy=fault_policy,
                     stats=stats,
                     log=shared_log,
@@ -848,70 +799,48 @@ def solve_si_parallel(
             initargs=(
                 program, base_mask, low_positions,
                 emit_certificate, any_solution, batch_size, fault_plan,
-                backend_selection, arena_spec, plan is not None,
+                backend_selection, plan,
             ),
             stats=stats,
         )
 
-    fault_log = None
-    solution_masks: List[int] = []
-    checked = 0
-    evidence: List[Tuple[str, Any]] = []
+    in_process = workers == 1
+    # The in-process sweep, also the supervisor's degradation path: this
+    # solve's own state, reusing the parent-compiled plan and a
+    # caller-supplied resolver.  No fault plan — a crash clause must not
+    # kill the parent.
+    serial_runner = _ShardSweep(
+        program, base_mask, low_positions, emit_certificate,
+        any_solution, batch_size, plan=plan, resolver=resolver,
+    )
 
-    try:
-        if workers == 1 or fault_policy.supervised:
-            in_process = workers == 1
+    drain_hook = None
+    if collect_stats and not in_process:
 
-            # The in-process sweep, also the supervisor's degradation path:
-            # this solve's own state, reusing the parent-compiled plan (no
-            # arena — shared memory is for crossing a process boundary) and
-            # a caller-supplied resolver.  No fault plan — a crash clause
-            # must not kill the parent.
-            serial_runner = _ShardSweep(
-                program, base_mask, low_positions, emit_certificate,
-                any_solution, batch_size, plan=plan, resolver=resolver,
+        def drain_hook(pool):
+            stats.worker_peak_rss_kb = max(
+                stats.worker_peak_rss_kb, pool.sample_worker_rss()
             )
 
-            drain_hook = None
-            if collect_stats and not in_process:
-
-                def drain_hook(pool):
-                    stats.worker_peak_rss_kb = max(
-                        stats.worker_peak_rss_kb, pool.sample_worker_rss()
-                    )
-
-            supervisor = ShardSupervisor(
-                pool_factory=None if in_process else pool_factory,
-                task=_sweep_shard,
-                shard_masks=shard_masks,
-                policy=fault_policy,
-                any_solution=any_solution,
-                journal=journal,
-                journal_header=header,
-                # Parent-side clauses (kill/torn) only; worker clauses
-                # travel through _init_worker and fire in pool processes.
-                fault_plan=fault_plan,
-                serial_runner=serial_runner,
-                encode_evidence=_encode_evidence,
-                decode_evidence=lambda items: _decode_evidence(items, space),
-                progress=progress,
-                drain_hook=drain_hook,
-                log=shared_log,
-            )
-            solution_masks, checked, evidence = supervisor.run()
-            fault_log = supervisor.log
-        else:
-            # FaultPolicy.off(): the bare PR-3 wait loop — no leases, no
-            # retries — except that a broken pool names the lost shard
-            # instead of surfacing a raw BrokenProcessPool traceback.
-            solution_masks, checked, evidence = _unsupervised_sweep(
-                pool_factory, shard_masks, any_solution, collect_stats
-            )
-    finally:
-        # Covers SimulatedKill (a BaseException) from parent-side fault
-        # clauses: the segment must never outlive the solve.
-        if arena_holder[0] is not None:
-            arena_holder[0].close(unlink=True)
+    supervisor = ShardSupervisor(
+        pool_factory=None if in_process else pool_factory,
+        task=_sweep_shard,
+        shard_masks=shard_masks,
+        policy=fault_policy,
+        any_solution=any_solution,
+        journal=journal,
+        journal_header=header,
+        # Parent-side clauses (kill/torn) only; worker clauses travel
+        # through _init_worker and fire in pool processes.
+        fault_plan=fault_plan,
+        serial_runner=serial_runner,
+        encode_evidence=_encode_evidence,
+        decode_evidence=lambda items: _decode_evidence(items, space),
+        progress=progress,
+        drain_hook=drain_hook,
+        log=shared_log,
+    )
+    solution_masks, checked, evidence = supervisor.run()
 
     solutions = [Predicate(space, mask) for mask in solution_masks]
     solutions.sort(key=lambda p: (p.count(), p.mask))
@@ -924,72 +853,9 @@ def solve_si_parallel(
         solutions=tuple(solutions),
         candidates_checked=checked,
         certificate=certificate,
-        fault_log=fault_log,
+        fault_log=supervisor.log,
         dispatch=stats,
     )
-
-
-def _unsupervised_sweep(
-    pool_factory,
-    shard_masks: List[int],
-    any_solution: bool,
-    collect_stats: bool = False,
-) -> Tuple[List[int], int, List[Tuple[str, Any]]]:
-    """The PR-3 pool loop, kept for overhead benchmarking and as a floor.
-
-    Dispatches through the same transport as the supervised path (so
-    arenas and byte accounting apply here too).  A dead worker aborts the
-    sweep — but now with a :class:`~repro.robustness.SolverWorkerError`
-    naming the shard's fixed-bit mask and the completed/pending counts
-    instead of a bare ``BrokenProcessPool``.
-    """
-    from ..robustness import SolverWorkerError
-
-    solution_masks: List[int] = []
-    checked = 0
-    evidence: List[Tuple[str, Any]] = []
-    completed = 0
-    pool = pool_factory()
-    try:
-        pending = {
-            pool.submit(_sweep_shard, index, fixed): (index, fixed)
-            for index, fixed in enumerate(shard_masks)
-        }
-        try:
-            while pending:
-                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                stop = False
-                for future in done:
-                    index, fixed = pending.pop(future)
-                    try:
-                        masks, shard_checked, shard_evidence = future.result()
-                    except (BrokenProcessPool, ShardLeaseRevoked) as exc:
-                        raise SolverWorkerError(
-                            shard_mask=fixed,
-                            attempts=1,
-                            completed=completed,
-                            pending=len(pending) + 1,
-                            cause=str(exc) or "process pool broke",
-                        ) from exc
-                    completed += 1
-                    solution_masks.extend(masks)
-                    checked += shard_checked
-                    evidence.extend(shard_evidence)
-                    if any_solution and masks:
-                        stop = True
-                if stop:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    return solution_masks, checked, evidence
-        finally:
-            for future in pending:
-                future.cancel()
-        if collect_stats and pool.stats is not None:
-            pool.stats.worker_peak_rss_kb = max(
-                pool.stats.worker_peak_rss_kb, pool.sample_worker_rss()
-            )
-    finally:
-        pool.shutdown(wait=True)
-    return solution_masks, checked, evidence
 
 
 def _merged_certificate(program: Program, evidence, free_mask: int):

@@ -5,8 +5,9 @@ actually *carries* a shard to a worker is a transport.  Two live behind
 the same interface:
 
 * :class:`LocalPoolTransport` — a ``ProcessPoolExecutor`` behind
-  ``submit``/``shutdown``/``terminate``, with the shared-memory arena
-  (DESIGN.md §14) keeping per-shard payloads at two pickled ints;
+  ``submit``/``shutdown``/``terminate``; workers receive the solve's
+  compiled Φ plan once, in the pool's initargs (DESIGN.md §14), so a
+  shard's payload is two pickled ints;
 * :class:`SocketTransport` — the TCP worker protocol (DESIGN.md §15):
   every address in ``workers`` names a ``python -m repro.worker`` daemon,
   shards travel as length-prefixed digest-checked frames
@@ -95,11 +96,9 @@ class DispatchStats:
     start_method: str = ""
     shards_dispatched: int = 0
     bytes_dispatched: int = 0
-    #: pickled size of the worker initializer's arguments (once per worker)
+    #: pickled size of the worker initializer's arguments, Φ plan included
+    #: (once per local pool, once per socket transport's attach payload)
     init_bytes: int = 0
-    #: size of the shared-memory arena, 0 when no arena was built
-    arena_bytes: int = 0
-    arena_segments: int = 0
     #: max ``ru_maxrss`` (KiB on Linux) sampled across pool workers
     worker_peak_rss_kb: int = 0
     #: every dispatch mechanism that carried shards, in first-use order
@@ -110,8 +109,6 @@ class DispatchStats:
     #: wire bytes sent to / received from socket workers (frames included)
     net_bytes_sent: int = 0
     net_bytes_received: int = 0
-    #: bytes of Φ-plan payload shipped to workers that could not reach the arena
-    plan_payload_bytes: int = 0
     #: connect/IO retries per worker address
     worker_retries: Dict[str, int] = field(default_factory=dict)
     #: socket workers declared permanently lost during the solve
@@ -131,6 +128,16 @@ class DispatchStats:
             return 0.0
         return self.bytes_dispatched / self.shards_dispatched
 
+    @property
+    def arena_bytes(self) -> int:
+        """Always 0: workers receive the Φ plan by value.
+
+        A read-only stand-in for a removed field.  perfbench's traced
+        ``sweep`` workload still reads it (``perfbench/workloads.py``,
+        ``perfbench/layers.py``); drop it when the harness stops.
+        """
+        return 0
+
     def note_transport(self, name: str) -> None:
         if name not in self.transports:
             self.transports.append(name)
@@ -145,15 +152,12 @@ class DispatchStats:
             "bytes_dispatched": self.bytes_dispatched,
             "bytes_per_shard": round(self.bytes_per_shard, 2),
             "init_bytes": self.init_bytes,
-            "arena_bytes": self.arena_bytes,
-            "arena_segments": self.arena_segments,
             "worker_peak_rss_kb": self.worker_peak_rss_kb,
             "transports": list(self.transports),
             "frames_sent": self.frames_sent,
             "frames_received": self.frames_received,
             "net_bytes_sent": self.net_bytes_sent,
             "net_bytes_received": self.net_bytes_received,
-            "plan_payload_bytes": self.plan_payload_bytes,
             "worker_retries": dict(self.worker_retries),
             "workers_lost": self.workers_lost,
             "duplicate_results": self.duplicate_results,
@@ -193,8 +197,6 @@ class DispatchStats:
             shards_dispatched=self.shards_dispatched + other.shards_dispatched,
             bytes_dispatched=self.bytes_dispatched + other.bytes_dispatched,
             init_bytes=self.init_bytes + other.init_bytes,
-            arena_bytes=max(self.arena_bytes, other.arena_bytes),
-            arena_segments=max(self.arena_segments, other.arena_segments),
             worker_peak_rss_kb=max(
                 self.worker_peak_rss_kb, other.worker_peak_rss_kb
             ),
@@ -204,8 +206,6 @@ class DispatchStats:
             net_bytes_sent=self.net_bytes_sent + other.net_bytes_sent,
             net_bytes_received=self.net_bytes_received
             + other.net_bytes_received,
-            plan_payload_bytes=self.plan_payload_bytes
-            + other.plan_payload_bytes,
             worker_retries=retries,
             workers_lost=self.workers_lost + other.workers_lost,
             duplicate_results=self.duplicate_results + other.duplicate_results,
@@ -277,7 +277,15 @@ class LocalPoolTransport(ShardTransport):
             self.stats.bytes_dispatched += len(
                 pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL)
             )
-        return self._pool.submit(fn, *args)
+        try:
+            return self._pool.submit(fn, *args)
+        except BrokenProcessPool as exc:
+            # A worker died while shards were still being submitted.  Fail
+            # through the future, as SocketTransport does, so the supervisor
+            # sees one broken pool instead of an exception mid-dispatch.
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
 
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
@@ -379,7 +387,6 @@ class _WorkerLink:
         self.sock: Optional[socket.socket] = None
         self.rfile = None
         self.wfile = None
-        self.mode = ""  # "arena" | "payload" | "resolver" (worker-reported)
         self.alive = False
 
     def close(self) -> None:
@@ -399,9 +406,7 @@ class SocketTransport(ShardTransport):
 
     Construction connects to and *attaches* every address: the worker
     receives the solve's program digest plus the attach payload (program,
-    shard layout, solver flags, arena spec) and either maps the
-    shared-memory arena by name or — when the segment does not resolve,
-    e.g. on another host — asks for and receives the full Φ-plan payload.
+    shard layout, solver flags and the compiled Φ plan, by value).
     A worker none of whose connect attempts succeed (retry with the fault
     policy's exponential backoff) is simply skipped; zero attached
     workers raises :class:`SocketTransportError` so the caller can
@@ -425,7 +430,6 @@ class SocketTransport(ShardTransport):
         *,
         program_digest: str,
         attach_args: Dict[str, Any],
-        plan: Optional[Any] = None,
         policy: Optional[Any] = None,
         stats: Optional[DispatchStats] = None,
         log: Optional[Any] = None,
@@ -455,8 +459,6 @@ class SocketTransport(ShardTransport):
         self._attach_payload = pickle.dumps(
             attach_args, protocol=pickle.HIGHEST_PROTOCOL
         )
-        self._plan = plan
-        self._plan_payload: Optional[bytes] = None
         self._queue: "queue.Queue[_SocketTask]" = queue.Queue()
         self._lock = threading.Lock()
         self._stopping = threading.Event()
@@ -653,13 +655,6 @@ class SocketTransport(ShardTransport):
         )
         header, _body, nbytes = recv_frame(rfile)
         self._count_received(nbytes)
-        if header["type"] == "need-plan":
-            payload = self._plan_bytes()
-            self._count_sent(send_frame(wfile, "plan", {}, payload))
-            if self.stats is not None:
-                self.stats.plan_payload_bytes += len(payload)
-            header, _body, nbytes = recv_frame(rfile)
-            self._count_received(nbytes)
         if header["type"] == "error":
             raise FrameError(f"worker refused attach: {header.get('message')}")
         if header["type"] != "attached":
@@ -672,30 +667,7 @@ class SocketTransport(ShardTransport):
         link.sock = sock
         link.rfile = rfile
         link.wfile = wfile
-        link.mode = header.get("mode", "")
         link.alive = True
-
-    def _plan_bytes(self) -> bytes:
-        if self._plan is None:
-            raise FrameError(
-                "worker asked for a plan payload but this solve has no "
-                "batchable plan (resolver-path programs ship no plan)"
-            )
-        if self._plan_payload is None:
-            from ..predicates.backends.batch import PhiPlan
-
-            # A memo-free copy: the parent plan's per-backend handle memos
-            # are process-local state and would only bloat the payload.
-            bare = PhiPlan(
-                space=self._plan.space,
-                init_mask=self._plan.init_mask,
-                statements=self._plan.statements,
-                terms=self._plan.terms,
-            )
-            self._plan_payload = pickle.dumps(
-                bare, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return self._plan_payload
 
     def _count_sent(self, nbytes: int) -> None:
         if self.stats is not None:

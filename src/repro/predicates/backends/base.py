@@ -108,50 +108,6 @@ class PredicateBackend:
         return (m & -m).bit_length() - 1
 
     # ------------------------------------------------------------------
-    # buffer protocol (zero-copy dispatch)
-    # ------------------------------------------------------------------
-
-    def words_view(self, handle: Any, size: int) -> memoryview:
-        """The bitset as a read-only little-endian uint64-word buffer.
-
-        Always ``(size + 63) // 64 * 8`` bytes, bit ``i`` of the buffer
-        (little-endian within each word) holding state ``i``; the layout is
-        backend-independent, so one backend can reconstruct another's
-        export via :meth:`from_buffer`.  Word-array backends return an
-        actual view over their storage (no copy); the default materializes
-        through the mask.
-        """
-        n_words = (size + 63) >> 6
-        raw = self.to_mask(handle, size).to_bytes(n_words * 8, "little")
-        return memoryview(raw)
-
-    def from_buffer(self, buf, size: int) -> Any:
-        """A handle over an exported words buffer (see :meth:`words_view`).
-
-        Word-array backends wrap the buffer without copying — the caller
-        keeps the buffer alive (e.g. an attached shared-memory segment)
-        and the resulting handle is read-only.  The default copies through
-        an int mask, which is what exactness requires of backends whose
-        handles are not word arrays.
-        """
-        n_words = (size + 63) >> 6
-        view = memoryview(buf)
-        if view.nbytes != n_words * 8:
-            raise ValueError(
-                f"words buffer is {view.nbytes} bytes; a {size}-state "
-                f"predicate packs to {n_words * 8}"
-            )
-        return self.from_mask(int.from_bytes(bytes(view), "little"), size)
-
-    def from_buffer_in(self, space, buf) -> Any:
-        """:meth:`from_buffer` with the space available.
-
-        Symbolic backends override — their handles come from the space's
-        variable structure, so they rebuild via :meth:`from_mask_in`.
-        """
-        return self.from_buffer(buf, space.size)
-
-    # ------------------------------------------------------------------
     # boolean algebra on handles
     # ------------------------------------------------------------------
 
@@ -257,10 +213,10 @@ class PredicateBackend:
     def phi_of_mask(self, plan, mask: int) -> int:
         """One candidate's Φ via scalar kernels (eq. 13 + the eq.-3 chain).
 
-        ``plan`` is accessed only through the plan interface
+        ``plan`` is accessed only through its memoizing accessors
         (``init_handle``/``term_body``/``group_table``/``poison_handle``/
-        ``succ_table``/``static_handle``), so arena-attached plans evaluate
-        through the same code path as locally compiled ones.
+        ``succ_table``/``static_handle``), so each shared mask or array is
+        converted to a handle once per process, not once per candidate.
         """
         from .batch import BatchPoisonError, eval_guard_postfix
 
@@ -319,19 +275,6 @@ class PredicateBackend:
     def group_table(self, space, names) -> Any:
         """The backend's representation of ``space.cylinder_partition(names)``."""
         raise NotImplementedError
-
-    def group_table_from_array(self, group_of, n_groups: int, size: int) -> Any:
-        """A cylinder partition from a precomputed ``group_of`` index array.
-
-        ``group_of[i]`` is state ``i``'s group.  Backends whose group-table
-        form *is* (an array, count) — the numpy backend — accept the array
-        as-is (zero-copy from an arena); others raise and the caller falls
-        back to :meth:`group_table` with the variable names.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} derives group tables from variable "
-            "names, not index arrays"
-        )
 
     def quantify_groups(
         self, handle: Any, table: Any, size: int, universal: bool

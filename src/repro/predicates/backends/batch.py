@@ -103,6 +103,8 @@ class PhiPlan:
 
     Carries per-backend memos for successor tables and static handles so a
     backend converts each shared mask/array exactly once per process.
+    Pool workers and socket workers receive the plan by value; the memos
+    are process-local handles and never travel (:meth:`__getstate__`).
     """
 
     space: Any  # repro.statespace.StateSpace (duck-typed; no import cycle)
@@ -111,6 +113,12 @@ class PhiPlan:
     terms: Tuple[TermPlan, ...]
     _tables: Dict[Tuple[str, int], Any] = field(default_factory=dict, repr=False)
     _statics: Dict[Tuple[str, int], Any] = field(default_factory=dict, repr=False)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_tables"] = {}
+        state["_statics"] = {}
+        return state
 
     def succ_table(self, backend, index: int) -> Any:
         """Statement ``index``'s successor map in ``backend``'s preferred form."""
@@ -136,11 +144,9 @@ class PhiPlan:
     # the plan interface ``batch_phi`` evaluates against
     #
     # ``phi_of_mask``/``batch_phi`` never touch the raw mask fields below
-    # this line — they go through these accessors, so a plan whose statics
-    # live in a shared-memory arena (repro.predicates.arena.ArenaPlan) can
-    # serve zero-copy handles through the identical surface.  Guard postfix
-    # programs reference statics by an opaque key (``("static", key)``):
-    # for a PhiPlan the key *is* the mask, for an ArenaPlan it is a slot.
+    # this line — they go through these accessors, which convert each
+    # shared mask to a backend handle once per process.  Guard postfix
+    # programs reference statics by mask (``("static", mask)``).
     # ------------------------------------------------------------------
 
     def init_handle(self, backend) -> Any:

@@ -99,11 +99,7 @@ class IntBitsBackend(PredicateBackend):
         return IntSuccessorTable(program.successor_array(stmt))
 
     def table_from_array(self, succ, size: int) -> IntSuccessorTable:
-        # tolist() (not list()) when fed a numpy array — e.g. an arena view:
-        # list() would yield np.int64 elements, whose fixed width silently
-        # truncates the big-int shifts in image() past 63 states.
-        tolist = getattr(succ, "tolist", None)
-        return IntSuccessorTable(tolist() if tolist is not None else list(succ))
+        return IntSuccessorTable(list(succ))
 
     def image(self, handle: int, table: IntSuccessorTable, size: int) -> int:
         succ = table.succ

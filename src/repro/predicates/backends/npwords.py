@@ -87,29 +87,6 @@ class NumpyWordsBackend(PredicateBackend):
     def fingerprint(self, handle: "np.ndarray", size: int) -> bytes:
         return handle.tobytes()[: (size + 7) // 8]
 
-    def words_view(self, handle: "np.ndarray", size: int) -> memoryview:
-        # The handle already *is* little-endian uint64 words; export its
-        # buffer read-only without copying (handles are non-writeable, but
-        # a defensive toreadonly covers any writable stragglers).
-        view = memoryview(handle).cast("B")
-        return view if view.readonly else view.toreadonly()
-
-    def from_buffer(self, buf, size: int) -> "np.ndarray":
-        # Zero-copy: the words array aliases the caller's buffer (e.g. a
-        # shared-memory arena slot).  Read-only both ways — np.frombuffer
-        # over a read-only memoryview yields a non-writeable array, which
-        # is exactly the invariant arena-backed predicates need.
-        view = memoryview(buf)
-        if not view.readonly:
-            view = view.toreadonly()
-        words = np.frombuffer(view, dtype="<u8")
-        if words.size != _n_words(size):
-            raise ValueError(
-                f"words buffer holds {words.size} words; a {size}-state "
-                f"predicate packs to {_n_words(size)}"
-            )
-        return words
-
     # -- boolean algebra --------------------------------------------------
 
     def and_(self, a, b, size: int):
@@ -171,12 +148,6 @@ class NumpyWordsBackend(PredicateBackend):
 
     def group_table(self, space, names) -> Tuple["np.ndarray", int]:
         return space.cylinder_partition_np(names)
-
-    def group_table_from_array(self, group_of, n_groups: int, size: int):
-        arr = np.asarray(group_of, dtype=np.int64)  # no copy for int64 input
-        if arr.flags.writeable:
-            arr.setflags(write=False)
-        return arr, int(n_groups)
 
     def quantify_groups(self, handle, table, size: int, universal: bool):
         group_of, n_groups = table
@@ -249,8 +220,7 @@ class NumpyWordsBackend(PredicateBackend):
 
         # eq. (13): K_V(body) resolves to body ∧ (wcyl.V.(x ⇒ body) ∨ ¬x),
         # one (B, W) matrix per knowledge term.  All plan data arrives
-        # through the plan interface, so arena-attached plans feed these
-        # kernels read-only views straight out of shared memory.
+        # through the plan's memoizing accessors, converted once per process.
         terms = []
         for position in range(len(plan.terms)):
             body = plan.term_body(self, position)

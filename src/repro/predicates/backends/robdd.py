@@ -572,14 +572,6 @@ class RobddBackend(PredicateBackend):
             m ^= low
         return RobddHandle(eng, eng._balanced_or(parts))
 
-    def from_buffer_in(self, space, buf) -> RobddHandle:
-        # Word buffers only make sense at explicit scale; rebuild through
-        # the space-structured encoding (a copy — zero-copy is an
-        # explicit-word-array property the BDD representation cannot have).
-        return self.from_mask_in(
-            space, int.from_bytes(bytes(memoryview(buf)), "little")
-        )
-
     def to_mask(self, handle: RobddHandle, size: int) -> int:
         limits.check_explicit_size(size, "materializing an int mask from a ROBDD")
         mask = 0

@@ -133,34 +133,6 @@ class Predicate:
             self._fp = fp
         return fp
 
-    def words_view(self) -> memoryview:
-        """The bitset as a read-only little-endian uint64-word buffer.
-
-        The canonical wire/arena form of an explicit predicate —
-        backend-independent layout, ``(size + 63) // 64 * 8`` bytes.
-        Zero-copy on word-array backends (the view aliases the handle's
-        storage); see :meth:`from_buffer` for the inverse.
-        """
-        from .backends import backend_for
-
-        backend = backend_for(self)
-        return backend.words_view(self.handle(backend), self.space.size)
-
-    @classmethod
-    def from_buffer(cls, space: StateSpace, buf, backend=None) -> "Predicate":
-        """A predicate over ``space`` wrapping an exported words buffer.
-
-        Zero-copy on word-array backends: the predicate's handle aliases
-        ``buf`` (the caller keeps it alive — e.g. an attached shared-memory
-        segment) and refuses writes.  ``backend`` defaults to the active
-        selection for ``space``'s size.
-        """
-        from .backends import backend_for_size
-
-        if backend is None:
-            backend = backend_for_size(space.size)
-        return backend.wrap(space, backend.from_buffer_in(space, buf))
-
     def _route(self, other: "Predicate"):
         """The handle-keeping backend to combine under, or None for int masks.
 

@@ -23,8 +23,8 @@ arrive as opaque ``(index, payload)`` leases and results as opaque tuples,
 so :mod:`repro.core.parallel` can hand it closures without a circular
 import.  Completed-shard results are merged in shard-index order, which —
 together with the ``_merged_certificate`` re-sort — keeps reports and
-certificate digests byte-identical to the unsupervised sweep no matter
-which faults fired.
+certificate digests byte-identical to the serial sweep no matter which
+faults fired.
 """
 
 from __future__ import annotations
@@ -74,10 +74,7 @@ class FaultPolicy:
 
     ``max_retries`` counts *re-dispatches* per shard (0 = one attempt).
     ``shard_deadline`` is seconds per attempt; ``None`` disables deadlines
-    (the fault-free wait loop then has zero polling overhead).  With
-    ``supervised=False`` the solver runs the bare PR-3 wait loop, except
-    that a broken pool raises :class:`SolverWorkerError` instead of a raw
-    ``BrokenProcessPool`` traceback.
+    (the fault-free wait loop then has zero polling overhead).
     """
 
     max_retries: int = 2
@@ -86,12 +83,15 @@ class FaultPolicy:
     backoff_factor: float = 2.0
     backoff_cap: float = 2.0
     serial_fallback: bool = True
-    supervised: bool = True
 
     @classmethod
     def off(cls) -> "FaultPolicy":
-        """The PR-3 behavior: no leases, no retries, no fallback."""
-        return cls(max_retries=0, serial_fallback=False, supervised=False)
+        """One attempt per shard and no serial fallback.
+
+        A lost shard raises :class:`SolverWorkerError` naming its
+        fixed-bit mask instead of being retried or finished in-process.
+        """
+        return cls(max_retries=0, serial_fallback=False)
 
     def backoff(self, attempt: int) -> float:
         """Seconds to pause before re-dispatching attempt ``attempt``."""

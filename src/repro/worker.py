@@ -16,17 +16,15 @@ length-prefixed, digest-checked frame format of :mod:`repro.core.netproto`:
    non-loopback interface without a key is refused at startup;
 2. the coordinator sends ``attach`` — the solve's program digest in the
    header, the pickled init arguments (program, shard layout, solver
-   flags, arena spec) in the body.  The daemon re-derives the program
-   digest from what it unpickled and refuses a mismatch: a worker never
-   computes against a program other than the one it claims to serve;
-3. the daemon maps the shared-memory arena by name when it can (same
-   host), and otherwise answers ``need-plan`` — the coordinator ships the
-   full Φ-plan payload, which is exactly the remote-host fallback;
-4. each ``shard`` frame names ``(index, fixed_mask, attempt)``; the
+   flags, and the compiled Φ plan by value) in the body.  The daemon
+   re-derives the program digest from what it unpickled and refuses a
+   mismatch: a worker never computes against a program other than the
+   one it claims to serve, and never recompiles the coordinator's plan;
+3. each ``shard`` frame names ``(index, fixed_mask, attempt)``; the
    daemon sweeps it with the *same* shard sweep a pool worker runs and
    answers a ``result`` frame keyed by that mask and attempt, sending
    ``heartbeat`` frames from a side thread while the sweep computes;
-5. ``rss`` answers peak memory, ``bye`` ends the session.
+4. ``rss`` answers peak memory, ``bye`` ends the session.
 
 Fault injection: the attach payload carries the solve's fault plan, so
 ``crash``/``hang``/``delay`` clauses fire inside the sweep exactly as
@@ -184,9 +182,6 @@ class Session:
             # coordinator fails fast instead of waiting out its deadline.
             self.fail(f"worker internal error: {exc!r}")
         finally:
-            plan = self.sweep.plan if self.sweep is not None else None
-            if plan is not None and hasattr(plan, "close"):
-                plan.close()  # unmap an attached arena before gc sees it
             for stream in (self.rfile, self.wfile, self.conn):
                 try:
                     stream.close()
@@ -272,36 +267,6 @@ class Session:
             )
             raise _SessionEnd
 
-        # Plan acquisition: arena by name when the segment resolves on this
-        # host, the shipped payload otherwise — never a local recompile,
-        # so the worker computes over exactly the coordinator's plan.
-        plan = None
-        mode = "resolver"
-        has_plan = bool(args.get("has_plan"))
-        arena_spec = args.get("arena_spec")
-        if not args.get("emit_certificate") and has_plan:
-            if arena_spec is not None:
-                plan = arena_spec.try_attach(program.space)
-            if plan is not None:
-                mode = "arena"
-            else:
-                self.send("need-plan", {"program": actual})
-                try:
-                    plan_header, plan_body, _n = recv_frame(self.rfile)
-                except FrameError:
-                    raise _SessionEnd from None
-                if plan_header.get("type") != "plan":
-                    self.fail(
-                        f"expected 'plan', got {plan_header.get('type')!r}"
-                    )
-                    raise _SessionEnd
-                try:
-                    plan = pickle.loads(plan_body)
-                except Exception as exc:
-                    self.fail(f"undecodable plan payload: {exc}")
-                    raise _SessionEnd from None
-                mode = "payload"
-
         fault_plan = args.get("fault_plan")
         if fault_plan is not None and hasattr(fault_plan, "before_result"):
             self.net_plan = fault_plan
@@ -315,15 +280,10 @@ class Session:
             int(args.get("batch_size") or parallel.BATCH_SIZE),
             fault_plan=fault_plan,
             backend_selection=args.get("backend_selection"),
-            arena_spec=None,
-            has_plan=has_plan,
-            plan=plan,
+            plan=args.get("plan"),
         )
-        self.send(
-            "attached",
-            {"program": actual, "mode": mode, "protocol": WORKER_PROTOCOL},
-        )
-        self.log(f"attached to {actual} (mode={mode})")
+        self.send("attached", {"program": actual, "protocol": WORKER_PROTOCOL})
+        self.log(f"attached to {actual}")
 
     # ------------------------------------------------------------------
 

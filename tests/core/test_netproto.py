@@ -144,7 +144,10 @@ class TestAuthHelpers:
         nonce = new_nonce()
         good = auth_digest(b"key", nonce)
         assert check_auth_digest(b"key", nonce, good)
-        assert not check_auth_digest(b"key", nonce, good[:-1] + "0")
+        # Change the last hex digit to one it is not, so the answer is
+        # always wrong (setting it to "0" left 1 digest in 16 unchanged).
+        wrong = good[:-1] + ("1" if good[-1] == "0" else "0")
+        assert not check_auth_digest(b"key", nonce, wrong)
         assert not check_auth_digest(b"key", nonce, None)
         assert not check_auth_digest(b"key", nonce, 12345)
 

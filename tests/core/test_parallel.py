@@ -18,6 +18,7 @@ disturb it.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 
 import pytest
@@ -601,3 +602,148 @@ def test_size_guard_names_both_escape_hatches():
     assert "parallel" in str(exc_info.value)
     with pytest.raises(ValueError, match="solve_si_iterative"):
         solve_si_parallel(big)
+
+
+# ----------------------------------------------------------------------
+# pool dispatch: the plan by value, spawn-clean workers, pool hygiene
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pool_kbp() -> Program:
+    from ..robustness.conftest import make_chaos_kbp
+
+    return make_chaos_kbp()
+
+
+@pytest.fixture(scope="module")
+def pool_serial(pool_kbp):
+    return solve_si(pool_kbp, parallel="never")
+
+
+class TestDispatch:
+    def test_shard_payload_is_descriptor_sized(self, pool_kbp):
+        import pickle
+
+        report = solve_si_parallel(pool_kbp, workers=2, collect_stats=True)
+        stats = report.dispatch
+        assert stats.shards_dispatched >= 2
+        # (shard_index, fixed_mask) pickles to a few dozen bytes; the
+        # successor arrays and masks travel once, in the initargs.
+        assert stats.bytes_per_shard < 100
+        plan = compile_phi_plan(pool_kbp)
+        assert stats.init_bytes > len(pickle.dumps(plan))
+
+    def test_pool_respawn_after_a_worker_crash(self, pool_kbp, pool_serial):
+        from repro.robustness import FaultPlan
+
+        report = solve_si_parallel(
+            pool_kbp,
+            workers=2,
+            fault_plan=FaultPlan.parse("crash@1"),
+            collect_stats=True,
+        )
+        _assert_same_report(pool_serial, report)
+        assert report.fault_log.count("pool-respawn") >= 1
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(), reason="no fork here"
+    )
+    def test_submit_to_a_broken_pool_fails_through_the_future(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.core.transport import LocalPoolTransport
+
+        transport = LocalPoolTransport(
+            workers=1, mp_context=mp.get_context("fork")
+        )
+        try:
+            crashed = transport.submit(os._exit, 1)
+            with pytest.raises(BrokenProcessPool):
+                crashed.result(timeout=60)
+            later = transport.submit(abs, -1)  # must not raise here
+            with pytest.raises(BrokenProcessPool):
+                later.result(timeout=60)
+        finally:
+            transport.terminate()
+
+    def test_in_process_solve_has_no_dispatch_stats(self, pool_kbp, pool_serial):
+        report = solve_si_parallel(pool_kbp, workers=1)
+        _assert_same_report(pool_serial, report)
+        assert report.dispatch is None
+
+
+@pytest.mark.skipif(
+    "spawn" not in mp.get_all_start_methods(), reason="no spawn here"
+)
+class TestSpawn:
+    def test_spawn_pool_matches_serial(self, pool_kbp, pool_serial):
+        report = solve_si_parallel(
+            pool_kbp, workers=2, start_method="spawn", collect_stats=True
+        )
+        _assert_same_report(pool_serial, report)
+        assert report.dispatch.start_method == "spawn"
+
+    def test_spawn_replays_backend_selection(self, pool_kbp, pool_serial):
+        with using_backend("numpy"):
+            report = solve_si_parallel(
+                pool_kbp, workers=2, start_method="spawn"
+            )
+        _assert_same_report(pool_serial, report)
+
+    def test_spawn_env_knob(self, pool_kbp, pool_serial, monkeypatch):
+        from repro.core.parallel import START_METHOD_ENV_VAR
+
+        monkeypatch.setenv(START_METHOD_ENV_VAR, "spawn")
+        report = solve_si_parallel(pool_kbp, workers=2, collect_stats=True)
+        _assert_same_report(pool_serial, report)
+        assert report.dispatch.start_method == "spawn"
+
+    def test_unknown_start_method_is_rejected(self, pool_kbp):
+        with pytest.raises(ValueError):
+            solve_si_parallel(pool_kbp, workers=2, start_method="teleport")
+
+
+_HYGIENE_PROBE = """
+import sys
+from repro.certificates import build_model
+from repro.core import solve_si_parallel
+
+report = solve_si_parallel(
+    build_model("kbp24-f6").program, workers=2, start_method="fork",
+    collect_stats=True,
+)
+assert report.dispatch.transports == ["local"], report.dispatch
+print(",".join(sorted(
+    name for name in (
+        "multiprocessing.shared_memory", "multiprocessing.resource_tracker"
+    )
+    if name in sys.modules
+)))
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="no fork here"
+)
+def test_fork_pool_solve_loads_no_shared_memory_machinery():
+    """A fork-pool solve starts no resource tracker and maps no segment:
+    neither module is even imported in a fresh interpreter."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_SOLVER_START_METHOD", None)
+    env.pop("REPRO_SOLVER_REMOTE_WORKERS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _HYGIENE_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "", done.stdout

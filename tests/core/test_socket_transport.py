@@ -28,6 +28,7 @@ from repro.core.transport import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     ShardLeaseRevoked,
     SocketTransport,
+    SocketTransportError,
     _SocketTask,
     _WorkerLink,
     heartbeat_interval,
@@ -151,22 +152,19 @@ class TestSocketSolve:
         assert_same_report(serial_report, report)
         assert report.dispatch.transports == ["socket"]
 
-    def test_arena_mode_ships_no_plan_payload(self, kbp, spawn_worker):
-        """Localhost daemons map the arena by name: zero payload bytes."""
-        _, addr = spawn_worker()
-        report = solve_si_parallel(kbp, remote_workers=[addr])
-        assert report.dispatch.plan_payload_bytes == 0
-        assert report.dispatch.arena_bytes > 0
-
     def test_payload_fallback_when_arena_unreachable(
-        self, kbp, serial_report, spawn_worker, monkeypatch
+        self, kbp, serial_report, spawn_worker
     ):
-        """No arena segment to map — the full Φ plan travels by value."""
-        monkeypatch.setenv("REPRO_SOLVER_ARENA", "never")
+        """A batchable program's Φ plan travels by value in the attach
+        payload, and the daemon's batched sweep matches serial."""
+        from repro.core import compile_phi_plan
+
+        plan = compile_phi_plan(kbp)
+        assert plan is not None
         _, addr = spawn_worker()
         report = solve_si_parallel(kbp, remote_workers=[addr])
         assert_same_report(serial_report, report)
-        assert report.dispatch.plan_payload_bytes > 0
+        assert report.dispatch.init_bytes > len(pickle.dumps(plan))
 
     def test_certificates_byte_identical_over_sockets(self, kbp, spawn_worker):
         from repro.certificates.canonical import canonical_dumps
@@ -343,6 +341,35 @@ class TestTransportInternals:
         with pytest.raises(BrokenProcessPool):
             queued.result(timeout=1)
 
+    def test_coordinator_refuses_an_older_protocol(self):
+        """A daemon speaking repro-worker/2, which still expects the
+        need-plan round trip, is refused at hello."""
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        address = f"127.0.0.1:{server.getsockname()[1]}"
+
+        def old_daemon():
+            conn, _ = server.accept()
+            with conn, conn.makefile("wb") as wfile:
+                send_frame(
+                    wfile, "hello", {"protocol": "repro-worker/2", "auth": "none"}
+                )
+                conn.recv(1)  # hold the link until the coordinator hangs up
+
+        thread = threading.Thread(target=old_daemon, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(SocketTransportError, match="protocol mismatch"):
+                SocketTransport(
+                    [address], program_digest="sha256:feedbeef", attach_args={}
+                )
+        finally:
+            server.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert WORKER_PROTOCOL == "repro-worker/3"
+
     def test_revoked_lease_names_the_shard(self):
         transport = self._bare_transport()
         lost = _WorkerLink(0, "127.0.0.1:1")
@@ -355,21 +382,3 @@ class TestTransportInternals:
             task.future.result(timeout=1)
         assert excinfo.value.shard_index == 3
         assert excinfo.value.fixed_mask == 0b101
-
-
-class TestTryAttach:
-    def test_missing_segment_answers_none(self, kbp):
-        from dataclasses import replace
-
-        from repro.core import compile_phi_plan
-        from repro.predicates.arena import SolveArena
-
-        plan = compile_phi_plan(kbp)
-        arena = SolveArena.build(plan, "test-digest")
-        try:
-            spec = arena.spec
-            assert spec.try_attach(kbp.space) is not None
-            ghost = replace(spec, segment="repro-arena-feedbeef-1-404")
-            assert ghost.try_attach(kbp.space) is None
-        finally:
-            arena.close()

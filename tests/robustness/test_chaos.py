@@ -291,16 +291,6 @@ def test_checkpoint_needs_complete_sweep(kbp, tmp_path):
         )
 
 
-def test_checkpoint_needs_supervision(kbp, tmp_path):
-    with pytest.raises(ValueError, match="supervised"):
-        solve_si_parallel(
-            kbp,
-            workers=2,
-            checkpoint=tmp_path / "j",
-            fault_policy=FaultPolicy.off(),
-        )
-
-
 def test_checkpoint_rejected_for_standard_programs(tmp_path):
     from ..conftest import make_counter_program
 

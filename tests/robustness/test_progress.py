@@ -14,7 +14,13 @@ import pytest
 
 from repro.core.kbp import solve_si
 from repro.core.parallel import solve_si_parallel
-from repro.robustness import FaultPlan, SimulatedKill, SolveProgress, verify_journal
+from repro.robustness import (
+    FaultPlan,
+    FaultPolicy,
+    SimulatedKill,
+    SolveProgress,
+    verify_journal,
+)
 
 from .conftest import make_chaos_kbp
 
@@ -62,6 +68,26 @@ class TestOrderingMatchesJournal:
         solve_si_parallel(
             kbp, workers=2, checkpoint=journal_path, progress=events.append
         )
+        assert [
+            e.shard_index for e in events if e.kind == "shard-completed"
+        ] == journal_record_order(journal_path)
+
+    def test_checkpoint_and_progress_under_fault_policy_off(
+        self, kbp, serial_report, tmp_path
+    ):
+        """FaultPolicy.off() runs under the supervisor too: it journals
+        and ticks like the default policy."""
+        events = []
+        journal_path = tmp_path / "solve.journal"
+        report = solve_si_parallel(
+            kbp,
+            workers=2,
+            checkpoint=journal_path,
+            progress=events.append,
+            fault_policy=FaultPolicy.off(),
+        )
+        assert report.solutions == serial_report.solutions
+        assert report.fault_log.clean
         assert [
             e.shard_index for e in events if e.kind == "shard-completed"
         ] == journal_record_order(journal_path)

@@ -20,12 +20,11 @@ from repro.robustness import (
 class TestFaultPolicy:
     def test_defaults_supervise_with_fallback(self):
         policy = FaultPolicy()
-        assert policy.supervised and policy.serial_fallback
+        assert policy.serial_fallback
         assert policy.max_retries == 2
 
     def test_off_restores_bare_loop(self):
         off = FaultPolicy.off()
-        assert not off.supervised
         assert not off.serial_fallback
         assert off.max_retries == 0
 
