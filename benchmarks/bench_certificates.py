@@ -8,8 +8,10 @@ trajectory entry to ``BENCH_certificates.json`` at the repo root:
   eq.-(25) certificates (resolution tables, Kleene chains, refutation
   witnesses) should cost under ~15% on top of the bare solve, because the
   solver already traverses everything the certificate records.  Both
-  arms run the serial sweep (``parallel="never"``): ``parallel="auto"``
-  sends the bare arm's small batchable programs to the batched kernel,
+  arms run the serial sweep (``parallel="never"``): one in-process shard
+  of the shard walker, candidate by candidate, which with a certificate
+  is the certified walk every route runs.  ``parallel="auto"`` would
+  send the bare arm's small batchable programs to the batched kernel,
   which does not traverse per-candidate evidence at all.
 * **Replay speedup** — checking the serialized Figure-1 no-solution
   artifact with the independent replayer vs re-deriving the verdict with

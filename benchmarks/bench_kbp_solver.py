@@ -211,7 +211,9 @@ def test_parallel_solver_speedup(benchmark):
     _RESULTS["process_speedup"] = round(processes, 2)
     _RESULTS["baselines"] = {
         "parallel_speedup": "serial sweep / 8-worker pool",
-        "batching_speedup": "serial sweep / batched in-process sweep",
+        "batching_speedup":
+            "serial sweep (one unbatched in-process shard) / "
+            "batched in-process sweep",
         "process_speedup":
             f"batched in-process sweep / {pool_workers}-worker pool",
     }

@@ -34,18 +34,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..predicates import Predicate, iterate_to_fixpoint, limits
 from ..predicates.backends import backend_for_size
 from ..transformers import sp_program, sst
 from ..unity import Knowledge, Program
 from .knowledge import KnowledgeOperator
-
-#: Backward-compatible alias of the unified ``solver`` limit's *default*
-#: (``repro.predicates.limits``; override with ``REPRO_MAX_SOLVER_STATES``
-#: or ``set_limit('solver', ...)`` — the guards consult the live value).
-MAX_EXHAUSTIVE_STATES = limits.get_limit("solver")
 
 #: ``solve_si(parallel="auto")`` sends a program with no Φ plan to the
 #: sharded pool from this many free state-bits up, and keeps the serial
@@ -59,7 +54,7 @@ PARALLEL_AUTO_FREE_BITS = 12
 #: 30 ms per solve, so in-process wins every pair at 12 bits (18 vs 48 ms)
 #: and 13 (32 vs 60 ms), 14 is a toss-up (4 and 8 wins of 9 in two sets)
 #: and the pool wins every pair from 15 up (92 vs 130 ms).  Below 12 bits
-#: the batched sweep is 60-110x faster than the serial loop (f10: 5.1 vs
+#: the batched sweep is 60-110x faster than the serial sweep (f10: 5.1 vs
 #: 616 ms).
 INPROCESS_AUTO_FREE_BITS = 14
 
@@ -226,9 +221,9 @@ class SolveReport:
     solutions: Tuple[Predicate, ...]
     candidates_checked: int
     certificate: Optional[object] = None
-    #: :class:`repro.robustness.FaultLog` from sharded sweeps, in-process
+    #: :class:`repro.robustness.FaultLog` from supervised sweeps, in-process
     #: ones included (``fault_log.clean`` means no faults fired); ``None``
-    #: for the serial loop.
+    #: for the serial sweep, which runs unsupervised.
     fault_log: Optional[object] = None
     #: :class:`repro.core.transport.DispatchStats` from multiprocess sweeps —
     #: bytes shipped per shard, the one-time init payload, worker peak RSS;
@@ -267,17 +262,6 @@ class SolveReport:
                     f"({len(self.solutions)} solutions in total)"
                 )
         return candidate
-
-
-def _supersets_of(base_mask: int, full_mask: int) -> Iterator[int]:
-    """All masks ``m`` with ``base ⊆ m ⊆ full``, via submask enumeration."""
-    free = full_mask & ~base_mask
-    sub = free
-    while True:
-        yield base_mask | sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & free
 
 
 def _check_exhaustive_size(space) -> None:
@@ -322,11 +306,12 @@ def solve_si(
     in-process with the batched kernel (``workers=1``) below
     :data:`INPROCESS_AUTO_FREE_BITS` free state-bits and through the
     process pool from there up; a program with no plan, or a certified
-    solve, keeps the serial sweep below :data:`PARALLEL_AUTO_FREE_BITS`
-    and takes the pool from there up.  ``"force"`` always uses the
-    sharded solver for knowledge-based programs, ``"never"`` keeps the
-    serial sweep.  ``workers`` is forwarded to the sharded solver, except
-    on ``"auto"``'s in-process route.
+    solve, takes the serial sweep below :data:`PARALLEL_AUTO_FREE_BITS`
+    and the pool from there up.  ``"force"`` always uses the sharded
+    solver for knowledge-based programs, ``"never"`` takes the serial
+    sweep: one in-process shard over every free bit on the per-candidate
+    resolver path, unsupervised.  ``workers`` is forwarded to the sharded
+    solver, except on ``"auto"``'s in-process route.
 
     ``fault_policy`` (a :class:`repro.robustness.FaultPolicy`) and
     ``checkpoint`` (a journal path or :class:`~repro.robustness.ShardJournal`)
@@ -402,9 +387,9 @@ def solve_si(
             )
         return solve_si_cubes(program, resolver=resolver)
     _check_exhaustive_size(space)
-    if parallel != "never":
-        from . import parallel as sharded
+    from . import parallel as sharded
 
+    if parallel != "never":
         free_bits = space.size - program.init.count()
         kwargs = dict(
             workers=workers,
@@ -417,31 +402,17 @@ def solve_si(
         )
         if parallel == "force" or wants_robustness:
             return sharded.solve_si_parallel(program, **kwargs)
-        if emit_certificate or free_bits >= INPROCESS_AUTO_FREE_BITS:
-            if free_bits >= PARALLEL_AUTO_FREE_BITS:
-                return sharded.solve_si_parallel(program, **kwargs)
-        else:
+        if (
+            not emit_certificate
+            and free_bits < INPROCESS_AUTO_FREE_BITS
+            and sharded.phi_plan(program) is not None
+        ):
             # Below the pool crossover a batchable sweep runs in-process.
-            # The plan compiled to decide that is handed on, not recompiled.
-            plan = sharded.compile_phi_plan(program)
-            if plan is not None:
-                kwargs["workers"] = 1
-                return sharded._solve_routed(program, plan, **kwargs)
-            if free_bits >= PARALLEL_AUTO_FREE_BITS:
-                return sharded._solve_routed(program, None, **kwargs)
-    if resolver is None:
-        resolver = CandidateResolver(program)
-    if emit_certificate:
-        return _solve_si_certified(program, resolver)
-    solutions: List[Predicate] = []
-    checked = 0
-    for mask in _supersets_of(program.init.mask, space.full_mask):
-        checked += 1
-        candidate = Predicate(space, mask)
-        if resolver.phi(candidate) == candidate:
-            solutions.append(candidate)
-    solutions.sort(key=lambda p: (p.count(), p.mask))
-    return SolveReport(solutions=tuple(solutions), candidates_checked=checked)
+            kwargs["workers"] = 1
+            return sharded.solve_si_parallel(program, **kwargs)
+        if free_bits >= PARALLEL_AUTO_FREE_BITS:
+            return sharded.solve_si_parallel(program, **kwargs)
+    return sharded.solve_serial(program, resolver, emit_certificate)
 
 
 def _some_free_index(p: Predicate) -> Optional[int]:
@@ -547,8 +518,8 @@ def _candidate_evidence(
     """One candidate's certificate evidence: ``("solution", entry)`` or
     ``("refutation", refutation)``.
 
-    Shared by the serial certified sweep and the sharded solver's per-shard
-    walks — both must produce byte-identical evidence for a candidate.
+    The certified walk of :class:`repro.core.parallel._ShardSweep` calls
+    it per candidate, so every route emits the same evidence for it.
     """
     # Lazy imports: repro.certificates depends on this module's data types.
     from ..certificates.certs import (
@@ -586,41 +557,6 @@ def _candidate_evidence(
         witness_kind="unreached",
         closed=value,
         missing=missing,
-    )
-
-
-def _solve_si_certified(
-    program: Program, resolver: CandidateResolver
-) -> SolveReport:
-    """The exhaustive sweep, recording per-candidate evidence as it goes."""
-    from ..certificates.canonical import program_digest
-    from ..certificates.certs import KbpSolveCertificate
-
-    space = program.space
-    solutions: List[Predicate] = []
-    entries: List[object] = []
-    refutations: List[object] = []
-    checked = 0
-    for mask in _supersets_of(program.init.mask, space.full_mask):
-        checked += 1
-        candidate = Predicate(space, mask)
-        kind, payload = _candidate_evidence(resolver, candidate)
-        if kind == "solution":
-            solutions.append(candidate)
-            entries.append(payload)
-        else:
-            refutations.append(payload)
-    solutions.sort(key=lambda p: (p.count(), p.mask))
-    certificate = KbpSolveCertificate(
-        program=program_digest(program),
-        init=program.init,
-        solutions=tuple(entries),
-        refutations=tuple(refutations),
-    )
-    return SolveReport(
-        solutions=tuple(solutions),
-        candidates_checked=checked,
-        certificate=certificate,
     )
 
 

@@ -1,11 +1,10 @@
-"""The sharded, batched exhaustive solver for eq. (25).
+"""The eq.-(25) sweep: every route walks its candidates here.
 
-The serial sweep in :mod:`repro.core.kbp` probes every candidate
-``x ⊇ init`` one at a time; its cost is ``2^(size - |init|)`` full Φ
-evaluations of pure-Python kernel calls.  This module keeps the *sweep*
-(completeness is non-negotiable — ``ŜP`` is not monotone, so nothing short
-of exhaustion decides well-posedness) and attacks the constant factor on
-two independent axes:
+The sweep stays exhaustive (completeness is non-negotiable — ``ŜP`` is not
+monotone, so nothing short of exhaustion decides well-posedness), and its
+cost is ``2^(size - |init|)`` Φ evaluations.  :class:`_ShardSweep` is the
+one candidate walker, and this module attacks its constant factor on two
+independent axes:
 
 **Sharding.**  The candidate sublattice ``[init, true]`` is partitioned by
 fixing the top ``k`` free state-bits: each of the ``2^k`` assignments names
@@ -14,7 +13,9 @@ per worker, so the executor queue work-steals around uneven shard costs).
 Within a shard the remaining free bits are walked in binary-reflected
 Gray-code order — consecutive candidates differ in exactly one state — so
 the per-worker :class:`~repro.core.kbp.CandidateResolver` term and
-operational caches get maximal reuse on the fallback path.
+operational caches get maximal reuse on the fallback path.  The serial
+sweep (:func:`solve_serial`) is the degenerate case: one in-process shard
+over every free bit on that per-candidate path, with no supervisor.
 
 **Batching.**  When the program is *batchable* — every knowledge term
 non-nested, knowledge only in guards, guards Boolean over terms and
@@ -24,15 +25,17 @@ successor arrays, and whole blocks of candidates go through the backend's
 ``batch_phi`` kernel at once.  On the numpy backend that is a fully
 vectorized sweep over a ``(batch, words)`` uint64 matrix; even single-CPU
 hosts see a large win because the per-candidate Python interpreter cost
-collapses into a handful of array ops per batch.
+collapses into a handful of array ops per batch.  Plans are memoized per
+:class:`~repro.unity.Program` instance (:func:`phi_plan`), so the router
+and the sweep share one compile and re-solving a program compiles nothing.
 
-Exactness: the merged report is bit-identical to the serial sweep — the
-same sorted ``solutions``, the same ``candidates_checked``, and (with
+Exactness: every route's report is bit-identical — the same sorted
+``solutions``, the same ``candidates_checked``, and (with
 ``emit_certificate=True``) the same per-candidate evidence in the same
-order, so PR-2 certificates replay unchanged.  Certified sweeps skip the
+order, so stored certificates replay unchanged.  Certified sweeps skip the
 batched kernel and run the per-candidate evidence path inside each shard;
-the merge re-sorts evidence into the serial enumeration order (strictly
-descending free-bit submask).
+:func:`_merged_certificate` then sorts the evidence by strictly
+descending free-bit submask, whatever the shard layout.
 
 ``any_solution=True`` turns the sweep into a pure well-posedness query:
 workers stop at their shard's first solution, the parent cancels every
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from contextvars import ContextVar
+import weakref
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..predicates import Predicate
@@ -297,6 +300,23 @@ def compile_phi_plan(program: Program) -> Optional[PhiPlan]:
     )
 
 
+#: :func:`phi_plan`'s memo, kept beside the programs rather than on them:
+#: a pickled program (pool initargs, socket attach payload) stays plan-free.
+_PLANS: "weakref.WeakKeyDictionary[Program, Optional[PhiPlan]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def phi_plan(program: Program) -> Optional[PhiPlan]:
+    """:func:`compile_phi_plan`, memoized per :class:`Program` instance
+    (``None`` included).  A miss calls it through this module's attribute,
+    so wrappers installed there see every real compile.  Threads racing on
+    one miss may both compile; the plans are equal, so either store does."""
+    if program not in _PLANS:
+        _PLANS[program] = compile_phi_plan(program)
+    return _PLANS[program]
+
+
 # ----------------------------------------------------------------------
 # shard planning and Gray-code enumeration
 # ----------------------------------------------------------------------
@@ -363,12 +383,13 @@ def assignment_mask(positions: Sequence[int], assignment: int) -> int:
 class _ShardSweep:
     """One solve's shard walk: everything a shard's sweep reads.
 
-    The in-process route builds one per solve and keeps it local, so
-    nested solves and solves on other threads never see each other's
-    state.  A pool worker builds one in :func:`_init_worker` and keeps it
-    in :data:`_WORKER`; a ``repro.worker`` session keeps its own.  The
-    resolver is built lazily: batched sweeps never need one unless a
-    poisoned candidate forces the exact serial re-run.
+    The only candidate walker.  The serial sweep runs one of these as a
+    single shard; the in-process route builds one per solve and keeps it
+    local, so nested solves and solves on other threads never see each
+    other's state.  A pool worker builds one in :func:`_init_worker` and
+    keeps it in :data:`_WORKER`; a ``repro.worker`` session keeps its own.
+    The resolver is built lazily: batched sweeps never need one unless a
+    poisoned candidate forces the exact per-candidate re-run.
     """
 
     def __init__(
@@ -593,25 +614,6 @@ def _journal_header(
     }
 
 
-#: ``(program, plan)`` compiled by :func:`repro.core.kbp.solve_si` to pick
-#: its route, for the :func:`solve_si_parallel` call it then makes — so a
-#: routed solve compiles its plan once.  ``plan`` is ``None`` when the
-#: program is not batchable.  A context variable, so concurrent solves on
-#: other threads never see it.
-_ROUTED_PLAN: ContextVar[Optional[Tuple[Program, Optional[PhiPlan]]]] = (
-    ContextVar("repro_routed_plan", default=None)
-)
-
-
-def _solve_routed(program: Program, plan: Optional[PhiPlan], **kwargs: Any):
-    """:func:`solve_si_parallel` reusing ``plan``, the router's compile."""
-    token = _ROUTED_PLAN.set((program, plan))
-    try:
-        return solve_si_parallel(program, **kwargs)
-    finally:
-        _ROUTED_PLAN.reset(token)
-
-
 def solve_si_parallel(
     program: Program,
     workers: Optional[int] = None,
@@ -679,7 +681,7 @@ def solve_si_parallel(
         ShardJournal,
         ShardSupervisor,
     )
-    from .kbp import SolveReport, _check_exhaustive_size, solve_si
+    from .kbp import _check_exhaustive_size, solve_si
 
     space = program.space
     _check_exhaustive_size(space)
@@ -742,17 +744,12 @@ def solve_si_parallel(
     )
 
     resolved_method = _resolve_start_method(start_method)
-    # The plan is compiled exactly once, parent-side (or was, by the
-    # `solve_si` router).  The in-process sweep uses it directly and every
-    # worker receives it by value: inherited under fork, pickled once per
-    # worker under spawn, carried in the attach payload over sockets.
-    plan = None
-    if not emit_certificate:
-        routed = _ROUTED_PLAN.get()
-        if routed is not None and routed[0] is program:
-            plan = routed[1]
-        else:
-            plan = compile_phi_plan(program)
+    # The plan is compiled at most once per program, parent-side (the
+    # `solve_si` router's compile is this one).  The in-process sweep uses
+    # it directly and every worker receives it by value: inherited under
+    # fork, pickled once per worker under spawn, carried in the attach
+    # payload over sockets.
+    plan = None if emit_certificate else phi_plan(program)
     backend_selection = get_default_backend()
     if isinstance(backend_selection, PredicateBackend):
         backend_selection = backend_selection.name
@@ -779,7 +776,6 @@ def solve_si_parallel(
                         backend_selection=backend_selection,
                         plan=plan,
                     ),
-                    policy=fault_policy,
                     stats=stats,
                     log=shared_log,
                     net_plan=fault_plan
@@ -840,31 +836,69 @@ def solve_si_parallel(
         drain_hook=drain_hook,
         log=shared_log,
     )
-    solution_masks, checked, evidence = supervisor.run()
+    return _report(
+        program, *supervisor.run(), emit_certificate,
+        fault_log=supervisor.log, dispatch=stats,
+    )
 
+
+def solve_serial(
+    program: Program,
+    resolver: Optional[Any] = None,
+    emit_certificate: bool = False,
+):
+    """The serial sweep: one in-process shard over every free bit.
+
+    It walks the per-candidate resolver path (``plan=None``) and runs
+    unsupervised: the route takes no checkpoint, progress callback, fault
+    policy or remote worker, so a supervisor would only keep books.  The
+    report's ``fault_log`` and ``dispatch`` are ``None``.
+    """
+    base_mask = program.init.mask
+    free_bits = _bit_positions(program.space.full_mask & ~base_mask)
+    sweep = _ShardSweep(
+        program, base_mask, free_bits, emit_certificate,
+        any_solution=False, batch_size=BATCH_SIZE, resolver=resolver,
+    )
+    return _report(program, *sweep(0, 0), emit_certificate)
+
+
+def _report(
+    program: Program,
+    solution_masks: Sequence[int],
+    checked: int,
+    evidence,
+    emit_certificate: bool,
+    fault_log: Optional[Any] = None,
+    dispatch: Optional[DispatchStats] = None,
+):
+    """The :class:`~repro.core.kbp.SolveReport` of a merged sweep."""
+    from .kbp import SolveReport
+
+    space = program.space
     solutions = [Predicate(space, mask) for mask in solution_masks]
     solutions.sort(key=lambda p: (p.count(), p.mask))
     certificate = None
     if emit_certificate:
         certificate = _merged_certificate(
-            program, evidence, space.full_mask & ~base_mask
+            program, evidence, space.full_mask & ~program.init.mask
         )
     return SolveReport(
         solutions=tuple(solutions),
         candidates_checked=checked,
         certificate=certificate,
-        fault_log=supervisor.log,
-        dispatch=stats,
+        fault_log=fault_log,
+        dispatch=dispatch,
     )
 
 
 def _merged_certificate(program: Program, evidence, free_mask: int):
-    """Re-assemble shard evidence into the serial sweep's certificate.
+    """Assemble walked evidence into the sweep's certificate.
 
-    The serial enumeration visits free-bit submasks in strictly decreasing
-    numeric order, so sorting merged evidence by descending
-    ``candidate & free`` reproduces its entry sequence exactly — byte-for-
-    byte equal certificates, digests included.
+    Entries sort by strictly descending ``candidate & free``, whatever
+    order the shards walked them in, so every route and shard layout
+    yields the same entry sequence — byte-for-byte equal certificates,
+    digests included.
     """
     from ..certificates.canonical import program_digest
     from ..certificates.certs import KbpSolveCertificate

@@ -5,7 +5,7 @@ actually *carries* a shard to a worker is a transport.  Two live behind
 the same interface:
 
 * :class:`LocalPoolTransport` — a ``ProcessPoolExecutor`` behind
-  ``submit``/``shutdown``/``terminate``; workers receive the solve's
+  ``submit``/``terminate``; workers receive the solve's
   compiled Φ plan once, in the pool's initargs (DESIGN.md §14), so a
   shard's payload is two pickled ints;
 * :class:`SocketTransport` — the TCP worker protocol (DESIGN.md §15):
@@ -17,11 +17,14 @@ the same interface:
   it to a surviving worker, exactly as it re-dispatches a crashed pool
   worker's shard.
 
+The transport reports link loss and retries nothing itself: every retry,
+backoff and fallback decision belongs to the supervisor.
+
 The transport is also where dispatch *accounting* lives:
 :class:`DispatchStats` measures what each solve actually shipped —
 pickled bytes per shard, the one-time attach payload, and (for sockets)
-frames, wire bytes, per-worker retries, and lost workers — so
-degradation is observable on the report instead of silent.
+frames, wire bytes and lost workers — so degradation is observable on
+the report instead of silent.
 """
 
 from __future__ import annotations
@@ -109,8 +112,6 @@ class DispatchStats:
     #: wire bytes sent to / received from socket workers (frames included)
     net_bytes_sent: int = 0
     net_bytes_received: int = 0
-    #: connect/IO retries per worker address
-    worker_retries: Dict[str, int] = field(default_factory=dict)
     #: socket workers declared permanently lost during the solve
     workers_lost: int = 0
     #: byte-identical duplicate shard results ignored (keyed mask+attempt)
@@ -142,9 +143,6 @@ class DispatchStats:
         if name not in self.transports:
             self.transports.append(name)
 
-    def count_retry(self, address: str) -> None:
-        self.worker_retries[address] = self.worker_retries.get(address, 0) + 1
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "start_method": self.start_method,
@@ -158,7 +156,6 @@ class DispatchStats:
             "frames_received": self.frames_received,
             "net_bytes_sent": self.net_bytes_sent,
             "net_bytes_received": self.net_bytes_received,
-            "worker_retries": dict(self.worker_retries),
             "workers_lost": self.workers_lost,
             "duplicate_results": self.duplicate_results,
         }
@@ -174,7 +171,6 @@ class DispatchStats:
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         kwargs = {k: v for k, v in doc.items() if k in known}
         kwargs["transports"] = list(kwargs.get("transports", []))
-        kwargs["worker_retries"] = dict(kwargs.get("worker_retries", {}))
         return cls(**kwargs)
 
     def merge(self, other: "DispatchStats") -> "DispatchStats":
@@ -185,9 +181,6 @@ class DispatchStats:
         is the true overall mean — total bytes over total shards — not an
         average of the two per-transport means.
         """
-        retries = dict(self.worker_retries)
-        for address, count in other.worker_retries.items():
-            retries[address] = retries.get(address, 0) + count
         transports = list(self.transports)
         for name in other.transports:
             if name not in transports:
@@ -206,7 +199,6 @@ class DispatchStats:
             net_bytes_sent=self.net_bytes_sent + other.net_bytes_sent,
             net_bytes_received=self.net_bytes_received
             + other.net_bytes_received,
-            worker_retries=retries,
             workers_lost=self.workers_lost + other.workers_lost,
             duplicate_results=self.duplicate_results + other.duplicate_results,
         )
@@ -229,15 +221,12 @@ def _probe_worker_rss(pause: float) -> Tuple[int, int]:
 class ShardTransport:
     """What the supervisor requires of a dispatch mechanism.
 
-    ``submit`` returns a future; ``shutdown`` mirrors the executor
-    protocol; ``terminate`` is the hard teardown the lease machinery
-    needs for hung workers (the executor API alone cannot preempt one).
+    ``submit`` returns a future, as an executor's does; ``terminate`` is
+    the only teardown, hard because the lease machinery must stop hung
+    workers (the executor API alone cannot preempt one).
     """
 
     def submit(self, fn: Callable[..., Any], *args: Any):
-        raise NotImplementedError
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         raise NotImplementedError
 
     def terminate(self) -> None:
@@ -286,9 +275,6 @@ class LocalPoolTransport(ShardTransport):
             future: Future = Future()
             future.set_exception(exc)
             return future
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
 
     def terminate(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
@@ -404,24 +390,27 @@ class _WorkerLink:
 class SocketTransport(ShardTransport):
     """Shards over TCP to ``python -m repro.worker`` daemons.
 
-    Construction connects to and *attaches* every address: the worker
-    receives the solve's program digest plus the attach payload (program,
-    shard layout, solver flags and the compiled Φ plan, by value).
-    A worker none of whose connect attempts succeed (retry with the fault
-    policy's exponential backoff) is simply skipped; zero attached
-    workers raises :class:`SocketTransportError` so the caller can
-    degrade to a local pool.
+    Construction connects to and *attaches* every address, once: the
+    worker receives the solve's program digest plus the attach payload
+    (program, shard layout, solver flags and the compiled Φ plan, by
+    value).  A worker that fails to connect or attach is skipped (a
+    ``worker-unreachable`` incident); zero attached workers raises
+    :class:`SocketTransportError` so the caller can degrade to a local
+    pool.
 
     Per shard, the owning link sends one ``shard`` frame and waits for a
     ``result`` frame, with worker ``heartbeat`` frames resetting the
-    per-worker deadline in between; a worker silent past the heartbeat
+    per-worker deadline in between.  A worker silent past the heartbeat
     timeout, or one whose connection breaks or frames arrive corrupt, is
-    first retried (reconnect + re-attach + re-dispatch under a fresh
-    attempt number) and then declared lost — the in-flight shard's future
-    raises :class:`ShardLeaseRevoked` and the supervisor re-dispatches.
-    Results are keyed by ``(fixed_mask, attempt)``: a duplicate result is
-    accepted only if byte-identical to the first (anything else breaks
-    the link), so re-executed shards are idempotent by construction.
+    declared lost at once; the transport never reconnects it.  While
+    another link survives, the in-flight shard's future raises
+    :class:`ShardLeaseRevoked`; once none does, every pending future
+    fails with ``BrokenProcessPool``.  Either way the supervisor decides
+    what happens next — a retry on a survivor, or a respawned transport
+    that reconnects every address.  Results are keyed by
+    ``(fixed_mask, attempt)``: a duplicate result is accepted only if
+    byte-identical to the first (anything else breaks the link), so
+    re-executed shards are idempotent by construction.
     """
 
     def __init__(
@@ -430,7 +419,6 @@ class SocketTransport(ShardTransport):
         *,
         program_digest: str,
         attach_args: Dict[str, Any],
-        policy: Optional[Any] = None,
         stats: Optional[DispatchStats] = None,
         log: Optional[Any] = None,
         net_plan: Optional[Any] = None,
@@ -445,7 +433,6 @@ class SocketTransport(ShardTransport):
             parse_address(address)  # fail fast on syntax, not mid-solve
         self.addresses = list(addresses)
         self.program_digest = program_digest
-        self.policy = policy
         self.stats = stats
         self.log = log
         self.net_plan = net_plan
@@ -469,7 +456,6 @@ class SocketTransport(ShardTransport):
         #: layer) establishes byte identity without retaining a second
         #: copy of every result body for the lifetime of the solve.
         self._seen: Dict[Tuple[int, int], str] = {}
-        self._threads: List[threading.Thread] = []
         self.links: List[_WorkerLink] = []
 
         unreachable: List[str] = []
@@ -477,7 +463,7 @@ class SocketTransport(ShardTransport):
             link = _WorkerLink(index, address)
             try:
                 self._open_link(link)
-            except (OSError, FrameError, SocketTransportError) as exc:
+            except SocketTransportError as exc:
                 unreachable.append(f"{address} ({exc})")
                 continue
             self.links.append(link)
@@ -497,56 +483,31 @@ class SocketTransport(ShardTransport):
                 "skipped at attach: " + "; ".join(unreachable),
             )
         for link in self.links:
-            thread = threading.Thread(
+            threading.Thread(
                 target=self._serve_link,
                 args=(link,),
                 name=f"shard-link-{link.address}",
                 daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
+            ).start()
 
     # ------------------------------------------------------------------
     # connection management
     # ------------------------------------------------------------------
 
-    def _backoff(self, attempt: int) -> float:
-        if self.policy is None:
-            return min(0.05 * (2.0 ** (attempt - 1)), 2.0)
-        return self.policy.backoff(attempt + 1)
-
-    def _max_retries(self) -> int:
-        return 2 if self.policy is None else self.policy.max_retries
-
     def _open_link(self, link: _WorkerLink) -> None:
-        """Connect and attach one worker, retrying with backoff.
-
-        Raises on exhaustion; the caller decides whether that means
-        "skip this worker" (construction) or "worker lost" (recovery).
-        """
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                if self.net_plan is not None and self.net_plan.refuses_connect(
-                    link.index
-                ):
-                    raise ConnectionRefusedError(
-                        "injected conn-refused (fault plan)"
-                    )
-                sock = socket.create_connection(
-                    parse_address(link.address), timeout=self.connect_timeout
-                )
-                break
-            except OSError as exc:
-                if attempt > self._max_retries():
-                    raise SocketTransportError(
-                        f"worker {link.address} unreachable after {attempt} "
-                        f"attempt(s): {exc}"
-                    ) from exc
-                if self.stats is not None:
-                    self.stats.count_retry(link.address)
-                time.sleep(self._backoff(attempt))
+        """Connect and attach one worker, once (no retry, no backoff)."""
+        try:
+            if self.net_plan is not None and self.net_plan.refuses_connect(
+                link.index
+            ):
+                raise ConnectionRefusedError("injected conn-refused (fault plan)")
+            sock = socket.create_connection(
+                parse_address(link.address), timeout=self.connect_timeout
+            )
+        except OSError as exc:
+            raise SocketTransportError(
+                f"worker {link.address} unreachable: {exc}"
+            ) from exc
         try:
             self._attach(link, sock)
         except (OSError, FrameError) as exc:
@@ -712,21 +673,6 @@ class SocketTransport(ShardTransport):
             self._queue.put(_SocketTask(index, fixed_mask, attempt, future))
         return future
 
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        self._stopping.set()
-        if cancel_futures:
-            self._drain_queue_cancelling()
-        for link in self.links:
-            if link.alive and link.wfile is not None:
-                try:
-                    send_frame(link.wfile, "bye")
-                except (OSError, FrameError):
-                    pass
-            link.close()
-        if wait:
-            for thread in self._threads:
-                thread.join(timeout=5.0)
-
     def terminate(self) -> None:
         self._stopping.set()
         for link in self.links:
@@ -780,49 +726,18 @@ class SocketTransport(ShardTransport):
 
     def _dispatch(self, link: _WorkerLink, task: _SocketTask) -> bool:
         """Run one task on ``link``; returns False once the link is lost."""
-        retries = 0
-        cause = "unknown"
-        while True:
+        try:
+            self._send_shard(link, task)
+            result = self._await_result(link, task)
+        except _LinkBroken as exc:
+            self._lose_link(link, task, str(exc))
+            return False
+        if not task.future.cancelled():
             try:
-                self._send_shard(link, task)
-                result = self._await_result(link, task)
-            except _LinkBroken as exc:
-                cause = str(exc)
-                link.close()
-                retries += 1
-                if self._stopping.is_set() or retries > self._max_retries():
-                    break
-                if self.stats is not None:
-                    self.stats.count_retry(link.address)
-                if self.log is not None:
-                    self.log.record(
-                        "link-retry",
-                        shard_index=task.index,
-                        attempt=retries,
-                        detail=f"{link.address}: {cause}",
-                    )
-                time.sleep(self._backoff(retries))
-                try:
-                    self._open_link(link)
-                except (OSError, FrameError, SocketTransportError) as reopen:
-                    cause = f"{cause}; reconnect failed: {reopen}"
-                    break
-                # Re-dispatch under a fresh attempt number: the old session
-                # may have computed (or half-sent) the old attempt's result,
-                # and idempotency is keyed per attempt.
-                with self._lock:
-                    attempt = self._attempts.get(task.fixed_mask, 0) + 1
-                    self._attempts[task.fixed_mask] = attempt
-                task = _SocketTask(task.index, task.fixed_mask, attempt, task.future)
-                continue
-            if not task.future.cancelled():
-                try:
-                    task.future.set_result(result)
-                except Exception:  # pragma: no cover - racing cancellation
-                    pass
-            return True
-        self._lose_link(link, task, cause)
-        return False
+                task.future.set_result(result)
+            except Exception:  # pragma: no cover - racing cancellation
+                pass
+        return True
 
     def _send_shard(self, link: _WorkerLink, task: _SocketTask) -> None:
         try:

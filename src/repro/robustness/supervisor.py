@@ -6,12 +6,15 @@ whole solve and discarded every completed shard.  The supervisor wraps the
 same pool with a lease discipline:
 
 * every in-flight shard has an attempt count and (optionally) a deadline;
-* a broken pool (worker crash, fork-context death) loses every in-flight
-  lease at once: the pool is killed and re-spawned, the lost shards are
+* a broken pool (worker crash, fork-context death, every socket worker
+  lost) loses every in-flight lease at once: the pool is killed, and
+  re-spawned only if a lost shard has retries left; those are
   re-dispatched with exponential backoff;
 * a shard past its deadline wedges its pool slot (a hung worker cannot be
   preempted through the executor API), so deadline expiry is treated the
-  same way — kill, re-spawn, re-dispatch;
+  same way — kill, re-spawn if needed, re-dispatch;
+* this is the only retry budget: transports report lost links and lost
+  pools, and never retry a shard themselves;
 * a shard that exhausts its retry budget degrades to the serial in-process
   sweep (guaranteed progress: the same code path ``workers=1`` runs), or
   raises :class:`SolverWorkerError` when the policy forbids fallback;
@@ -129,7 +132,7 @@ class FaultIncident:
 
     kind: str  # worker-crash | shard-timeout | pool-respawn | retry |
     #            serial-fallback | duplicate-result | resume | worker-lost |
-    #            worker-unreachable | degraded-to-local | link-retry
+    #            worker-unreachable | degraded-to-local
     shard_index: Optional[int]
     attempt: int
     detail: str
@@ -167,25 +170,6 @@ class FaultLog:
         return not self.incidents and not self.shards_resumed
 
 
-def _kill_pool(pool) -> None:
-    """Tear a pool down hard: hung workers would pin their slots forever.
-
-    Transports (:class:`repro.core.transport.ShardTransport`) expose this
-    as ``terminate()``; bare executors are dismantled by hand.
-    """
-    terminate = getattr(pool, "terminate", None)
-    if callable(terminate):
-        terminate()
-        return
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # racing a worker's own exit is fine
-            pass
-
-
 #: One shard's sweep outcome: (solution_masks, checked, evidence).
 ShardResult = Tuple[List[int], int, List[Any]]
 
@@ -200,11 +184,11 @@ class ShardSupervisor:
         task: Callable[..., ShardResult],
         shard_masks: Sequence[int],
         policy: FaultPolicy,
+        serial_runner: Callable[[int, int], ShardResult],
         any_solution: bool = False,
         journal: Optional[ShardJournal] = None,
         journal_header: Optional[Dict[str, Any]] = None,
         fault_plan: Optional[FaultPlan] = None,
-        serial_runner: Optional[Callable[[int, int], ShardResult]] = None,
         encode_evidence: Callable[[List[Any]], List[Any]] = lambda e: [],
         decode_evidence: Callable[[Sequence[Any]], List[Any]] = lambda e: [],
         progress: Optional[Callable[[SolveProgress], None]] = None,
@@ -223,9 +207,10 @@ class ShardSupervisor:
         self.encode_evidence = encode_evidence
         self.decode_evidence = decode_evidence
         self.progress = progress
-        #: called with the live pool after a clean pool phase, before
-        #: teardown — the solver's hook for worker RSS sampling; failures
-        #: are swallowed (metrics must never fail a solve).
+        #: called with the pool after a pool phase that did not stop
+        #: early, before teardown — the solver's hook for worker RSS
+        #: sampling; failures (a pool a fault killed has nothing left to
+        #: sample) are swallowed: metrics must never fail a solve.
         self.drain_hook = drain_hook
         #: callers may pass a shared log so transport-level incidents (e.g.
         #: socket-to-local degradation inside the pool factory) land in the
@@ -245,17 +230,11 @@ class ShardSupervisor:
         fallback: List[int] = []
         stopped = False  # any_solution early exit
 
-        if todo and self.pool_factory is None:
-            # In-process mode (workers=1): same lease bookkeeping — journal
-            # appends, parent-side faults, early exit — without a pool.
-            if self.serial_runner is None:
-                raise ValueError("in-process supervision needs a serial_runner")
-            for index in todo:
-                result = self.serial_runner(index, self.shard_masks[index])
-                self._complete(index, result, results)
-                if self.any_solution and result[0]:
-                    stopped = True
-                    break
+        if self.pool_factory is None:
+            # In-process mode (workers=1): every shard takes the serial
+            # phase, with the same journal appends, parent-side faults and
+            # early exit.
+            fallback = todo
         elif todo:
             self._pool = self.pool_factory()
             try:
@@ -266,9 +245,9 @@ class ShardSupervisor:
                     except Exception:  # pragma: no cover - metrics only
                         pass
             finally:
-                _kill_pool(self._pool)
+                self._pool.terminate()
 
-        if fallback and not stopped:
+        if not stopped:
             self._serial_phase(fallback, results)
 
         merged_solutions: List[int] = []
@@ -349,19 +328,19 @@ class ShardSupervisor:
                 set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
             )
             lost: List[int] = []
-            broken = False
+            dead: Optional[str] = None  # why the pool is unusable
             for future in done:
                 index, _started = inflight.pop(future)
                 try:
                     result = future.result()
-                except BrokenProcessPool:
-                    broken = True
+                except BrokenProcessPool as exc:
+                    dead = "pool broke"
                     lost.append(index)
                     self.log.record(
                         "worker-crash",
                         shard_index=index,
                         attempt=attempts[index],
-                        detail="process pool broke under this shard's lease",
+                        detail=str(exc),
                     )
                 except ShardLeaseRevoked as exc:
                     # One socket worker vanished; the pool (and every other
@@ -386,43 +365,36 @@ class ShardSupervisor:
                     self._complete(index, result, results)
                     if self.any_solution and result[0]:
                         return True
-            if broken:
-                # The pool is unusable: every still-inflight lease is lost.
-                for future, (index, _started) in inflight.items():
-                    lost.append(index)
-                inflight.clear()
-                self._respawn("pool broke")
-            elif policy.shard_deadline is not None:
+            if dead is None and policy.shard_deadline is not None:
                 now = time.monotonic()
                 expired = [
-                    (future, index)
-                    for future, (index, started) in inflight.items()
+                    index
+                    for index, started in inflight.values()
                     if now - started > policy.shard_deadline
                 ]
+                for index in expired:
+                    self.log.record(
+                        "shard-timeout",
+                        shard_index=index,
+                        attempt=attempts[index],
+                        detail=f"no result within {policy.shard_deadline}s",
+                    )
                 if expired:
-                    for _future, index in expired:
-                        self.log.record(
-                            "shard-timeout",
-                            shard_index=index,
-                            attempt=attempts[index],
-                            detail=(
-                                f"no result within {policy.shard_deadline}s"
-                            ),
-                        )
-                    # Hung workers pin their pool slots; take no chances.
-                    lost.extend(index for _f, index in expired)
-                    survivors = [
-                        index
-                        for future, (index, _s) in inflight.items()
-                        if all(future is not f for f, _i in expired)
-                    ]
-                    lost.extend(survivors)
-                    inflight.clear()
-                    self._respawn("shard deadline expired")
+                    lost.extend(expired)
+                    dead = "shard deadline expired"
+            if dead is not None:
+                # The pool is unusable (hung workers pin their slots, and a
+                # broken pool takes every lease): kill it now, and build a
+                # new one only if some lost shard is to be retried.
+                lost.extend(index for index, _started in inflight.values())
+                inflight.clear()
+                self._pool.terminate()
 
             if lost:
                 retry = self._triage(lost, attempts, results, fallback)
                 if retry:
+                    if dead is not None:
+                        self._respawn(dead)
                     pause = max(
                         policy.backoff(attempts[index]) for index in retry
                     )
@@ -479,27 +451,21 @@ class ShardSupervisor:
         return retry
 
     def _respawn(self, why: str) -> None:
-        _kill_pool(self._pool)
         self.log.record("pool-respawn", detail=why)
         self._pool = self.pool_factory()
 
     def _serial_phase(
-        self, fallback: List[int], results: Dict[int, ShardResult]
+        self, shards: List[int], results: Dict[int, ShardResult]
     ) -> None:
-        """Graceful degradation: sweep abandoned shards in-process."""
-        if self.serial_runner is None:
-            raise SolverWorkerError(
-                shard_mask=self.shard_masks[fallback[0]],
-                attempts=self.policy.max_retries + 1,
-                completed=len(results),
-                pending=len(self.shard_masks) - len(results),
-                cause="no serial runner available",
-            )
-        for index in sorted(fallback):
+        """Sweep ``shards`` in-process, in index order: every shard of an
+        in-process solve, or those a pool could not finish."""
+        for index in sorted(shards):
             if index in results:
                 continue
             result = self.serial_runner(index, self.shard_masks[index])
             self._complete(index, result, results)
+            if self.any_solution and result[0]:
+                return
 
     # ------------------------------------------------------------------
     # completion bookkeeping

@@ -31,15 +31,6 @@ from ..statespace import StateSpace
 Transformer = Callable[[Predicate], Predicate]
 
 
-def _max_exhaustive_states() -> int:
-    """The ``enumeration`` limit (``repro.predicates.limits``), kept current."""
-    return limits.get_limit("enumeration")
-
-
-#: Backward-compatible alias of the unified ``enumeration`` limit's default.
-MAX_EXHAUSTIVE_STATES = _max_exhaustive_states()
-
-
 @dataclass(frozen=True)
 class Counterexample:
     """Witness predicates refuting a junctivity property."""

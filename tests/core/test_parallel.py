@@ -1,17 +1,20 @@
 """The sharded/batched eq.-(25) solver must be indistinguishable from serial.
 
-Three layers of property tests:
+Four layers of property tests:
 
-* the candidate enumeration primitives (``_supersets_of``, Gray-code walks,
-  shard assignment masks) cover the sublattice exactly once;
-* ``batch_phi`` agrees with the serial resolver's Φ on every candidate,
-  on both backends;
+* the candidate enumeration primitives (Gray-code walks, shard assignment
+  masks) cover the sublattice exactly once;
+* ``batch_phi`` agrees with the per-candidate resolver's Φ on every
+  candidate, on both backends;
+* every route — serial sweep, default ``solve_si``, in-process and pool
+  sweeps — agrees with the literal reference in ``tests/oracle.py``;
 * whole solves — plain, certified, early-exit — produce reports (and
   certificate payloads) identical to the serial sweep, across worker
-  counts and backends.
+  counts and backends, with certificate entries in descending free-bit
+  order.
 
 Then the routing of ``solve_si(parallel="auto")`` (in-process batched
-sweep, serial loop or pool), and the in-process sweep's state, which
+sweep, serial sweep or pool), and the in-process sweep's state, which
 belongs to one solve: nested solves and solves on other threads must not
 disturb it.
 """
@@ -28,10 +31,8 @@ from hypothesis import strategies as st
 from repro.core import compile_phi_plan, solve_si, solve_si_parallel
 from repro.core.kbp import (
     INPROCESS_AUTO_FREE_BITS,
-    MAX_EXHAUSTIVE_STATES,
     PARALLEL_AUTO_FREE_BITS,
     CandidateResolver,
-    _supersets_of,
 )
 from repro.core.parallel import (
     assignment_mask,
@@ -39,7 +40,7 @@ from repro.core.parallel import (
     gray_masks,
     plan_shards,
 )
-from repro.predicates import Predicate, using_backend
+from repro.predicates import Predicate, limits, using_backend
 from repro.predicates.backends import get_backend
 from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.unity import (
@@ -55,41 +56,12 @@ from repro.unity import (
     var,
 )
 
+from .. import oracle
+
 
 # ----------------------------------------------------------------------
 # enumeration primitives
 # ----------------------------------------------------------------------
-
-
-@st.composite
-def base_and_full(draw, max_bits: int = 10):
-    """A (base, full) mask pair with base ⊆ full."""
-    bits = draw(st.integers(min_value=1, max_value=max_bits))
-    full = draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
-    base = full & draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
-    return base, full
-
-
-@given(base_and_full())
-def test_supersets_cover_the_interval_exactly_once(masks):
-    base, full = masks
-    free = full & ~base
-    seen = list(_supersets_of(base, full))
-    assert len(seen) == 1 << free.bit_count()
-    assert len(set(seen)) == len(seen)
-    for mask in seen:
-        assert mask & base == base
-        assert mask & ~full == 0
-
-
-@given(base_and_full())
-def test_supersets_descend_on_the_free_bits(masks):
-    """The serial enumeration order certificates depend on: strictly
-    decreasing free-bit submasks."""
-    base, full = masks
-    free = full & ~base
-    subs = [mask & free for mask in _supersets_of(base, full)]
-    assert subs == sorted(subs, reverse=True)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20), unique=True, max_size=8))
@@ -196,7 +168,8 @@ def test_batch_phi_matches_resolver_phi(program, backend_name):
     assert plan is not None, "guard-only KBPs must compile"
     resolver = CandidateResolver(program)
     space = program.space
-    masks = list(_supersets_of(program.init.mask, space.full_mask))
+    free_bits = [i for i in range(space.size) if not program.init.mask >> i & 1]
+    masks = [program.init.mask | gray for gray in gray_masks(free_bits)]
     backend = get_backend(backend_name)
     batched = backend.batch_phi(plan, masks)
     for mask, value in zip(masks, batched):
@@ -213,6 +186,46 @@ def _assert_same_report(serial, parallel):
     assert tuple(p.mask for p in parallel.solutions) == tuple(
         p.mask for p in serial.solutions
     )
+
+
+def _assert_every_route_matches_the_oracle(program, backend_name):
+    solutions, candidates = oracle.solve(program)
+    with using_backend(backend_name):
+        reports = [
+            solve_si(program, parallel="never"),
+            solve_si(program),
+            solve_si_parallel(program, workers=2),
+        ]
+    for report in reports:
+        assert report.candidates_checked == candidates
+        assert [p.mask for p in report.solutions] == solutions
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_kbps(), st.sampled_from(["int", "numpy"]))
+def test_every_route_matches_the_oracle(program, backend_name):
+    _assert_every_route_matches_the_oracle(program, backend_name)
+
+
+@pytest.mark.parametrize("backend_name", ["int", "numpy"])
+def test_nested_knowledge_matches_the_oracle(backend_name):
+    _assert_every_route_matches_the_oracle(_nested_program(), backend_name)
+
+
+@settings(max_examples=6, deadline=None)
+@given(random_kbps())
+def test_certificate_entries_descend_on_the_free_bits(program):
+    """The order certificate digests depend on: within ``solutions`` and
+    within ``refutations``, strictly decreasing free-bit submasks."""
+    free = program.space.full_mask & ~program.init.mask
+    for report in (
+        solve_si(program, emit_certificate=True, parallel="never"),
+        solve_si_parallel(program, workers=2, emit_certificate=True),
+    ):
+        certificate = report.certificate
+        for entries in (certificate.solutions, certificate.refutations):
+            keys = [entry.candidate.mask & free for entry in entries]
+            assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
 @settings(max_examples=15, deadline=None)
@@ -368,9 +381,14 @@ def test_solve_si_routing_knobs():
 @pytest.fixture
 def routes(monkeypatch):
     """Record each ``solve_si_parallel`` call's ``workers`` and count
-    ``compile_phi_plan`` calls, calling through to both."""
+    ``compile_phi_plan`` calls, calling through to both.  The plan memo
+    starts empty, so the count is the test's own real compiles whatever
+    ran before it (``build_model`` hands out the same programs)."""
+    import weakref
+
     from repro.core import parallel
 
+    monkeypatch.setattr(parallel, "_PLANS", weakref.WeakKeyDictionary())
     seen = {"workers": [], "compiles": 0}
     real_solve = parallel.solve_si_parallel
     real_compile = parallel.compile_phi_plan
@@ -396,16 +414,18 @@ def test_auto_route_sweeps_in_process_below_the_pool_crossover(routes):
     assert routes["workers"] == [1]  # the batched in-process sweep
     assert routes["compiles"] == 1  # the router's plan, not a second one
     assert report.dispatch is None and report.fault_log.clean
+    solve_si(below)
+    assert routes["compiles"] == 1  # re-solving compiles nothing
 
     routes["workers"].clear()
     at = build_model(f"kbp24-f{INPROCESS_AUTO_FREE_BITS}").program
     solve_si(at)
     assert routes["workers"] == [None]  # the default-sized pool
-    assert routes["compiles"] == 2  # one per solve
+    assert routes["compiles"] == 2  # one per program
 
 
 def test_auto_route_keeps_the_serial_loop_without_a_plan(routes):
-    """Nested K has no Φ plan: below 12 free bits the serial loop stays."""
+    """Nested K has no Φ plan: below 12 free bits the serial sweep stays."""
     program = _nested_program()
     assert program.space.size - program.init.count() < PARALLEL_AUTO_FREE_BITS
     report = solve_si(program)
@@ -596,7 +616,7 @@ def test_size_guard_names_both_escape_hatches():
     from repro.seqtrans import SeqTransParams, RELIABLE, build_kbp_protocol
 
     big = build_kbp_protocol(SeqTransParams(length=1), RELIABLE)
-    assert big.space.size > MAX_EXHAUSTIVE_STATES
+    assert big.space.size > limits.get_limit("solver")
     with pytest.raises(ValueError, match="solve_si_iterative") as exc_info:
         solve_si(big)
     assert "parallel" in str(exc_info.value)

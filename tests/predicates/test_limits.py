@@ -34,15 +34,6 @@ class TestDefaults:
         assert get_limit("enumeration") == 16  # old junctivity value
         assert get_limit("explicit") == 1 << 22
 
-    def test_compat_aliases_still_exported(self):
-        from repro.core.kbp import MAX_EXHAUSTIVE_STATES as kbp_limit
-        from repro.transformers.junctivity import (
-            MAX_EXHAUSTIVE_STATES as junctivity_limit,
-        )
-
-        assert kbp_limit == 28
-        assert junctivity_limit == 16
-
     def test_unknown_limit_name_rejected(self):
         with pytest.raises(KeyError, match="unknown limit"):
             get_limit("quantum")

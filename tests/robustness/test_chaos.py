@@ -93,6 +93,43 @@ def test_unsupervised_broken_pool_names_the_shard(kbp):
     assert err.pending >= 1
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [FaultPolicy.off(), FaultPolicy(max_retries=0)],
+    ids=["off", "no-retries"],
+)
+def test_no_respawn_unless_a_lost_shard_is_retried(
+    kbp, serial_report, policy, monkeypatch
+):
+    """When every lost shard raises or falls back, the broken pool is not
+    replaced: the solve builds exactly one pool."""
+    from repro.core import parallel
+
+    built = []
+
+    class CountingPool(parallel.LocalPoolTransport):
+        def __init__(self, **kwargs):
+            built.append(kwargs["workers"])
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(parallel, "LocalPoolTransport", CountingPool)
+    try:
+        report = solve_si_parallel(
+            kbp,
+            workers=2,
+            fault_plan=FaultPlan.parse("crash@0:times=50"),
+            fault_policy=policy,
+        )
+    except SolverWorkerError:
+        assert not policy.serial_fallback
+    else:
+        assert policy.serial_fallback
+        assert_same_report(serial_report, report)
+        assert report.fault_log.count("serial-fallback") >= 1
+        assert report.fault_log.count("pool-respawn") == 0
+    assert len(built) == 1
+
+
 # ----------------------------------------------------------------------
 # hangs and delays
 # ----------------------------------------------------------------------

@@ -128,9 +128,12 @@ class TestChaosMatrix:
             kbp, remote_workers=addrs, fault_plan=NetworkFaultPlan.parse(spec)
         )
         assert_same_report(serial_report, report)
-        assert sum(report.dispatch.worker_retries.values()) >= 1
-        if spec != "connrefused@0":  # connect retries precede any link
-            assert report.fault_log.count("link-retry") >= 1
+        log = report.fault_log
+        if spec == "connrefused@0":  # the refused daemon is skipped at attach
+            assert log.count("worker-unreachable") == 1
+        else:  # the faulted link is lost at once; the supervisor retries
+            assert log.count("worker-lost") == 1
+            assert log.count("retry") == 1
 
     def test_duplicate_result_is_deduplicated(
         self, kbp, serial_report, spawn_worker
@@ -159,7 +162,8 @@ class TestChaosMatrix:
         assert canonical_dumps(report.certificate.to_payload()) == (
             canonical_dumps(reference.certificate.to_payload())
         )
-        assert sum(report.dispatch.worker_retries.values()) >= 1
+        assert report.fault_log.count("worker-unreachable") == 1
+        assert report.fault_log.count("retry") >= 1
 
 
 # ----------------------------------------------------------------------
