@@ -4,16 +4,15 @@ Sweeps ``build_symbolic_protocol`` over message lengths and times the
 eq.-(3) ``sst`` chain under the explicit int backend and the ROBDD
 backend on the same instance:
 
-* at small ``L`` both run and the chains are asserted bit-identical —
-  below ``ARRAY_RELATION_MAX`` the robdd backend deliberately builds
-  its relations from the same exact successor arrays as the explicit
-  backends (identical ``GuardDomainError`` timing), so the explicit
-  sweep wins there and ``"auto"`` is right to keep picking it;
-* past that window the expression compiler takes over and the symbolic
-  chain is orders of magnitude faster (the crossover sits near 2^14
-  states); past ``REPRO_MAX_EXPLICIT_STATES`` the explicit route
-  *refuses outright* — the headline point is ``L = 10`` (> 2^40
-  states) completing in well under a second.
+* at small ``L`` both run and the chains are asserted bit-identical.
+  Both backends build their transition tables with the same expression
+  compiler (:mod:`repro.unity.support`): one evaluation per assignment of
+  each expression's support, laid out over the states on int and
+  compiled to support cubes on robdd, so neither pays a per-state sweep
+  and robdd no longer trails int at small sizes;
+* past ``REPRO_MAX_EXPLICIT_STATES`` the explicit route *refuses
+  outright* — the headline point is ``L = 10`` (> 2^40 states)
+  completing in well under a second.
 
 The crossover curve (state bits vs wall time per backend) is appended as
 a trajectory entry to ``BENCH_symbolic.json`` at the repo root.
@@ -44,8 +43,9 @@ _RESULTS: dict = {}
 
 _QUICK = os.environ.get("SYMBOLIC_BENCH_QUICK") == "1"
 
-# Lengths where the explicit int backend still runs (L=3 is ~90k states
-# and takes seconds to build its successor tables — skipped in quick mode).
+# Lengths where the explicit int backend still runs (L=3 is ~90k states,
+# whose successor tables and sst chain take the longest — skipped in
+# quick mode).
 _EXPLICIT_LENGTHS = (1, 2) if _QUICK else (1, 2, 3)
 # The symbolic backend is timed on the same instances plus the scale point.
 _SYMBOLIC_ONLY_LENGTHS = (10,)

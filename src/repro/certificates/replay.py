@@ -9,7 +9,9 @@ trusted base is
   backend for the duration of every replay (models past the explicit-state
   limit pin the ROBDD backend instead — see :func:`replay_artifact`);
 * one-step successor lookup (``Program.successor_array``) — the program
-  *text*, not a transformer;
+  *text*, not a transformer — and the expression compiler behind it
+  (:mod:`repro.unity.support`), which also gives each knowledge term's
+  body;
 * the model registry, which rebuilds the named program from source and
   compares its digest against what the certificate claims to be about.
 
@@ -36,7 +38,7 @@ Soundness sketches (full argument in DESIGN.md §8):
   supports an infinite fair run avoiding ``q`` by walking to each
   statement's stay-state before firing it.
 * **eq.-(13) resolutions** — recomputed innermost-first with the ``wcyl``
-  primitive and pointwise expression evaluation; a certificate's recorded
+  primitive and the compiled term bodies; a certificate's recorded
   resolution must match bit for bit before its resolved program is built.
 
 Why the ``int`` backend: the checker's job is to be a *small, exact*
@@ -85,6 +87,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..predicates import Predicate, limits, using_backend, wcyl
 from ..unity import Program
+from ..unity.support import expr_predicate
 from .canonical import (
     CertificateError,
     check_program_digest,
@@ -369,8 +372,8 @@ def _verify_resolution(
     """Recompute every knowledge term at ``si`` and match the recorded table.
 
     Terms are resolved innermost-first (ordered by nested-term count), each
-    body evaluated pointwise with the already-resolved subterms, then
-    pushed through eq. (13) with the ``wcyl`` primitive.  Any bit of
+    body compiled with the already-resolved subterms, then pushed through
+    eq. (13) with the ``wcyl`` primitive.  Any bit of
     disagreement with the certificate's table rejects the artifact.
     """
     space = program.space
@@ -393,9 +396,7 @@ def _verify_resolution(
         variables = views.get(term.process)
         if variables is None:
             raise CertificateError(f"unknown process {term.process!r}")
-        body = Predicate.from_callable(
-            space, lambda st, f=term.formula: bool(f.eval(st, resolved))
-        )
+        body = expr_predicate(space, term.formula, resolved)
         value = body & (wcyl(variables, si.implies(body)) | not_si)
         if not recorded[repr(term)] == value:
             raise CertificateError(

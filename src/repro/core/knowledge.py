@@ -22,35 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
-from ..predicates import Predicate, iterate_to_fixpoint, limits, wcyl
-from ..predicates.backends import backend_for_size
+from ..predicates import Predicate, iterate_to_fixpoint, wcyl
 from ..statespace import StateSpace
 from ..unity import Expr, Knowledge, Program
+from ..unity.support import expr_predicate
 from ..transformers import strongest_invariant
-
-
-def _expr_predicate(space: StateSpace, expr: Expr, resolution) -> Predicate:
-    """The predicate of a knowledge-free (or fully resolved) expression.
-
-    Small spaces evaluate per state; past the ``explicit`` limit the
-    expression is substituted (``Knowledge`` → ``ResolvedKnowledge``) and
-    compiled directly to a backend handle — no state sweep.
-    """
-    if space.size > limits.get_limit("explicit"):
-        backend = backend_for_size(space.size)
-        if getattr(backend, "symbolic", False):
-            from ..unity.statements import _resolve_expr
-
-            resolved = _resolve_expr(expr, resolution) if resolution else expr
-            return backend.wrap(space, backend.expr_handle(space, resolved))
-        limits.check_explicit_size(space.size, f"evaluating {expr!r} per state")
-    from ..statespace import State
-
-    mask = 0
-    for i in range(space.size):
-        if expr.eval(State(space, i), resolution):
-            mask |= 1 << i
-    return Predicate(space, mask)
 
 
 class KnowledgeOperator:
@@ -70,9 +46,8 @@ class KnowledgeOperator:
         Optional shared memo of knowledge-term *bodies* (the formula under
         the ``K``), keyed by term and the fingerprints of its resolved
         subterms.  Bodies are SI-independent, so the KBP solver passes one
-        cache across every candidate SI it probes — the expensive
-        per-state expression evaluation then happens once per distinct
-        body, not once per candidate.
+        cache across every candidate SI it probes — each distinct body is
+        then compiled once, not once per candidate.
     """
 
     def __init__(
@@ -196,11 +171,11 @@ class KnowledgeOperator:
         """The predicate denoted by an expression, resolving nested ``K`` terms.
 
         Knowledge terms are resolved innermost-first against *this*
-        operator's SI; the surrounding Boolean structure is then evaluated
-        pointwise.
+        operator's SI; the expression compiler then combines the
+        surrounding Boolean structure (:mod:`repro.unity.support`).
         """
         resolution = self.resolve_terms(expr.knowledge_terms())
-        return _expr_predicate(self.space, expr, resolution)
+        return expr_predicate(self.space, expr, resolution)
 
     def resolve_terms(
         self, terms: Iterable[Knowledge]
@@ -228,7 +203,7 @@ class KnowledgeOperator:
         key = (term, tuple(resolution[inner].fingerprint() for inner in inner_terms))
         body = self._term_cache.get(key)
         if body is None:
-            body = _expr_predicate(self.space, term.formula, resolution)
+            body = expr_predicate(self.space, term.formula, resolution)
             self._term_cache[key] = body
         resolved = self.knows(term.process, body)
         resolution[term] = resolved

@@ -63,9 +63,9 @@ from ..predicates.backends.batch import (
     StatementPlan,
     TermPlan,
 )
-from ..statespace import State
 from ..unity import Program
 from ..unity.expressions import Binary, Ite, Knowledge, Unary
+from ..unity.support import expr_mask, unguarded_successors
 from .transport import (
     DispatchStats,
     LocalPoolTransport,
@@ -159,25 +159,6 @@ class _Ineligible(Exception):
     """The program cannot be batched; fall back to the per-candidate path."""
 
 
-def _static_mask(program: Program, expr) -> int:
-    """A knowledge-free guard subtree as an exact mask over all states.
-
-    The serial evaluator short-circuits ``and``/``or``/``=>``, so a leaf it
-    never reaches may be one we cannot evaluate everywhere; any evaluation
-    failure marks the whole program ineligible (conservative — the serial
-    path then decides, with identical semantics).
-    """
-    space = program.space
-    mask = 0
-    for i in range(space.size):
-        try:
-            if expr.eval(State(space, i)):
-                mask |= 1 << i
-        except Exception:
-            raise _Ineligible from None
-    return mask
-
-
 def _guard_ops(
     program: Program, expr, term_index: Dict[Knowledge, int]
 ) -> List[Tuple[Any, ...]]:
@@ -185,7 +166,10 @@ def _guard_ops(
     if isinstance(expr, Knowledge):
         return [("term", term_index[expr])]
     if not expr.knowledge_terms():
-        return [("static", _static_mask(program, expr))]
+        # Raises wherever the leaf cannot be evaluated (the serial evaluator's
+        # short-circuit may never reach those states); the plan is then
+        # ``None`` and the per-candidate path decides, with identical semantics.
+        return [("static", expr_mask(program.space, expr))]
     if isinstance(expr, Unary) and expr.op == "not":
         return _guard_ops(program, expr.operand, term_index) + [("not",)]
     if isinstance(expr, Binary):
@@ -211,36 +195,6 @@ def _guard_ops(
     raise _Ineligible
 
 
-def _unguarded_successors(
-    program: Program, stmt
-) -> Tuple[Tuple[int, ...], int]:
-    """``stmt``'s assignment successor ignoring the guard, plus a poison mask.
-
-    Bit ``i`` of the poison mask is set where some right-hand side cannot be
-    evaluated or leaves its domain — states the *guarded* statement may
-    never execute, so they only matter for candidates whose resolved guard
-    enables them (→ :class:`BatchPoisonError`, then a serial re-run that
-    raises the original error).
-    """
-    space = program.space
-    succ = [0] * space.size
-    poison = 0
-    for i in range(space.size):
-        state = State(space, i)
-        try:
-            changes = {}
-            for target, expr in zip(stmt.targets, stmt.exprs):
-                value = expr.eval(state)
-                if value not in space.var(target).domain:
-                    raise _Ineligible  # poison, not a compile failure
-                changes[target] = value
-            succ[i] = space.reindex(i, changes)
-        except Exception:
-            poison |= 1 << i
-            succ[i] = i
-    return tuple(succ), poison
-
-
 def compile_phi_plan(program: Program) -> Optional[PhiPlan]:
     """Freeze ``Φ`` into a :class:`PhiPlan`, or ``None`` when not batchable.
 
@@ -262,7 +216,7 @@ def compile_phi_plan(program: Program) -> Optional[PhiPlan]:
                 raise _Ineligible
             term_plans.append(
                 TermPlan(
-                    body_mask=_static_mask(program, term.formula),
+                    body_mask=expr_mask(program.space, term.formula),
                     variables=tuple(sorted(process.variables)),
                 )
             )
@@ -280,7 +234,7 @@ def compile_phi_plan(program: Program) -> Optional[PhiPlan]:
             if any(e.knowledge_terms() for e in stmt.exprs):
                 raise _Ineligible  # candidate-dependent successor arrays
             guard = tuple(_guard_ops(program, stmt.guard, term_index))
-            succ, poison = _unguarded_successors(program, stmt)
+            succ, poison = unguarded_successors(program.space, stmt)
             statement_plans.append(
                 StatementPlan(
                     name=stmt.name, succ=succ, guard=guard, poison_mask=poison
@@ -289,8 +243,9 @@ def compile_phi_plan(program: Program) -> Optional[PhiPlan]:
     except _Ineligible:
         return None
     except Exception:
-        # Anything the serial sweep would raise (e.g. a GuardDomainError in
-        # a knowledge-free statement) is its to raise — with its own message.
+        # A static leaf that raises somewhere, or anything the serial sweep
+        # would raise (e.g. a GuardDomainError in a knowledge-free
+        # statement): the per-candidate path decides, with its own message.
         return None
     return PhiPlan(
         space=program.space,

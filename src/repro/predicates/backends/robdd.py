@@ -25,16 +25,19 @@ order of slot assignments equals the numeric state-index order — the
 least satisfying path is the least member index.
 
 Transitions are *relations* over current+primed levels
-(:class:`RobddRelation`): either an exact translation of a successor
-array (small spaces — bit-for-bit parity with the explicit backends), or
-compiled from the statement's guard and update expressions
-(:meth:`RobddBackend.stmt_relation`), which never enumerates the space.
-``image``/``preimage`` are relational product + quantification.
+(:class:`RobddRelation`) compiled from the statement's guard and update
+expressions (:meth:`RobddBackend.stmt_relation`) with the shared
+expression compiler's leaf tables (:mod:`repro.unity.support`), which
+never enumerate the space; a Φ plan's successor arrays translate exactly
+(:meth:`RobddEngine.relation_from_array`).  ``image``/``preimage`` are
+relational product + quantification.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .. import limits
@@ -47,11 +50,6 @@ __all__ = ["RobddBackend", "RobddEngine", "RobddHandle", "RobddRelation"]
 #: factored models read a handful of small variables; hitting this cap
 #: means the model needs refactoring, not a bigger sweep.
 MAX_RELATION_SUPPORT = 1 << 16
-
-#: Spaces at most this large build relations from exact successor arrays
-#: (same arrays, same ``GuardDomainError`` timing as the explicit
-#: backends); larger spaces compile relations from expressions.
-ARRAY_RELATION_MAX = 1 << 14
 
 
 class RobddHandle:
@@ -536,6 +534,86 @@ class RobddEngine:
         return node
 
 
+class _Nodes:
+    """The expression compiler's algebra over one engine's raw nodes (see
+    :func:`repro.unity.support.compile_bool`): a value-level leaf becomes
+    one OR of cubes where its table holds and one where it raised."""
+
+    false = 0
+    true = 1
+
+    def __init__(self, backend: "RobddBackend", eng: RobddEngine):
+        self.backend = backend
+        self.eng = eng
+        self.space = eng.space
+        self.and_, self.or_, self.not_, self.xor = eng._and, eng._or, eng._neg, eng._xor
+
+    def known(self, predicate) -> int:
+        return self.backend._pred_node(self.eng, predicate)
+
+    def check(self, positions, rows: int) -> None:
+        if rows > MAX_RELATION_SUPPORT:
+            names = sorted(self.eng.space.variables[k].name for k in positions)
+            raise ValueError(
+                f"expression support {names} spans {rows} assignments "
+                f"(cap {MAX_RELATION_SUPPORT}); factor the statement so each "
+                "expression reads less state, or raise "
+                "repro.predicates.backends.robdd.MAX_RELATION_SUPPORT"
+            )
+
+    def cubes(self, table) -> Iterator[int]:
+        """The cube of each row of ``table``'s support, in row order."""
+        eng = self.eng
+        columns = [
+            [eng.digit_cube(k, d) for d in range(len(eng.space.variables[k].domain))]
+            for k in table.positions
+        ]
+        self.check(table.positions, math.prod(len(c) for c in columns))
+        for fixed in itertools.product(*columns):
+            cube = 1
+            for node in fixed:
+                cube = eng._and(cube, node)
+            yield cube
+
+    def leaf(self, table) -> Tuple[int, Optional[int]]:
+        holds, raised = table.truth()
+        yes: List[int] = []
+        err: List[int] = []
+        for row, cube in enumerate(self.cubes(table)):
+            if raised is not None and raised[row]:
+                err.append(cube)
+            elif holds[row]:
+                yes.append(cube)
+        eng = self.eng
+        return eng._balanced_or(yes), (eng._balanced_or(err) if err else None)
+
+    def update(self, expr, k: int) -> Tuple[int, int]:
+        """``(v_k' = expr, where expr raises or leaves v_k's domain)``, with
+        resolved knowledge leaves Shannon-expanded as the compiler does."""
+        from ...unity.support import cofactor, support_table
+
+        eng = self.eng
+        table, leaf = support_table(self.space, expr, check=self.check)
+        if leaf is not None:
+            node = self.known(leaf.predicate)
+            rel_t, bad_t = self.update(cofactor(expr, leaf, True), k)
+            rel_f, bad_f = self.update(cofactor(expr, leaf, False), k)
+            neg = eng._neg(node)
+            return (
+                eng._or(eng._and(node, rel_t), eng._and(neg, rel_f)),
+                eng._or(eng._and(node, bad_t), eng._and(neg, bad_f)),
+            )
+        digits = table.digits(k, eng.space.variables[k].domain)
+        parts: List[int] = []
+        escapes: List[int] = []
+        for row, cube in enumerate(self.cubes(table)):
+            if digits[row] < 0:
+                escapes.append(cube)
+            else:
+                parts.append(eng._and(cube, eng.digit_cube(k, int(digits[row]), primed=True)))
+        return eng._balanced_or(parts), eng._balanced_or(escapes)
+
+
 class RobddBackend(PredicateBackend):
     """Predicate kernels over hash-consed ROBDDs (one engine per space)."""
 
@@ -649,12 +727,6 @@ class RobddBackend(PredicateBackend):
     # -- relational kernels -----------------------------------------------
 
     def build_table(self, program, stmt) -> RobddRelation:
-        space = program.space
-        if space.size <= min(ARRAY_RELATION_MAX, limits.get_limit("explicit")):
-            eng = self.engine(space)
-            return RobddRelation(
-                eng, eng.relation_from_array(program.successor_array(stmt))
-            )
         return self.stmt_relation(program, stmt)
 
     def table_from_array(self, succ, size: int) -> Any:
@@ -681,20 +753,30 @@ class RobddBackend(PredicateBackend):
         """Compile ``stmt`` to a relation without enumerating the space.
 
         ``R = (G ∧ ⋀_t t' = E_t ∧ frame) ∨ (¬G ∧ identity)``, intersected
-        with both domain copies.  Update values are computed by enumerating
-        assignments of each expression's *support* only, so cost scales
-        with how much state a statement reads, not with the space.
+        with both domain copies.  Guard leaves and update values come from
+        the expression compiler's tables, one row per assignment of each
+        expression's *support*, so cost scales with how much state a
+        statement reads, not with the space.  Where the guard raises, or
+        holds while an update raises or leaves its domain, the lowest such
+        state is re-run per state and raises what the explicit backends do.
         """
+        from ...unity import support
+
         space = program.space
         eng = self.engine(space)
-        guard = self._compile_bool(eng, stmt.guard)
-        guard_d = eng._and(guard, eng.domain)
-        taken = guard_d
-        targets = set(stmt.targets)
+        nodes = _Nodes(self, eng)
+        guard, raised = support.compile_bool(nodes, stmt.guard)
+        taken = eng._and(guard, eng.domain)
+        poison = 0
         for target, expr in zip(stmt.targets, stmt.exprs):
-            taken = eng._and(
-                taken, self._update_relation(eng, stmt, target, expr, guard_d)
-            )
+            rel, escapes = nodes.update(expr, space.position(target))
+            taken = eng._and(taken, rel)
+            poison = eng._or(poison, escapes)
+        errors = eng._or(raised or 0, eng._and(guard, poison))
+        witness = eng.min_index(eng._and(errors, eng.domain))
+        if witness is not None:
+            support.reraise_step(space, stmt, witness)
+        targets = set(stmt.targets)
         for k, variable in enumerate(space.variables):
             if variable.name not in targets:
                 taken = eng._and(taken, eng._var_identity[k])
@@ -702,160 +784,21 @@ class RobddBackend(PredicateBackend):
         rel = eng._and(eng._or(taken, skip), eng.domain_p)
         return RobddRelation(eng, rel)
 
-    def expr_handle(self, space, expr) -> RobddHandle:
-        """The predicate denoted by a Boolean expression, compiled symbolically."""
-        eng = self.engine(space)
-        return RobddHandle(eng, eng._and(self._compile_bool(eng, expr), eng.domain))
+    def expr_handle(self, space, expr, resolution=None) -> RobddHandle:
+        """The predicate denoted by a Boolean expression, compiled symbolically.
 
-    def _assignments(self, eng: RobddEngine, names) -> Iterator[Tuple[Dict[str, Any], int]]:
-        """All assignments of the named variables, each with its cube node."""
-        space = eng.space
-        positions = sorted(space.position(n) for n in names)
-        total = 1
-        for k in positions:
-            total *= len(space.variables[k].domain)
-        if total > MAX_RELATION_SUPPORT:
-            raise ValueError(
-                f"expression support {sorted(names)} spans {total} assignments "
-                f"(cap {MAX_RELATION_SUPPORT}); factor the statement so each "
-                "expression reads less state, or raise "
-                "repro.predicates.backends.robdd.MAX_RELATION_SUPPORT"
-            )
-
-        def rec(i: int, adict: Dict[str, Any], cube: int) -> Iterator[Tuple[Dict[str, Any], int]]:
-            if i == len(positions):
-                yield dict(adict), cube
-                return
-            k = positions[i]
-            variable = eng.space.variables[k]
-            for digit, value in enumerate(variable.domain.values):
-                adict[variable.name] = value
-                yield from rec(
-                    i + 1, adict, eng._and(cube, eng.digit_cube(k, digit))
-                )
-            del adict[variable.name]
-
-        yield from rec(0, {}, 1)
-
-    def _update_relation(self, eng, stmt, target: str, expr, guard_d: int) -> int:
-        """``target' = expr`` over the support of ``expr`` (plus escape check)."""
-        from ...unity.expressions import EvalError
-
-        space = eng.space
-        k = space.position(target)
-        domain = space.var(target).domain
-        self._check_enumerable(expr)
-        parts: List[int] = []
-        bad = 0
-        for adict, cube in self._assignments(eng, sorted(expr.free_vars())):
-            try:
-                value = expr.eval(adict)
-            except EvalError:
-                bad = eng._or(bad, cube)
-                continue
-            if value in domain:
-                parts.append(
-                    eng._and(cube, eng.digit_cube(k, domain.index(value), primed=True))
-                )
-            else:
-                bad = eng._or(bad, cube)
-        if bad:
-            witness = eng.min_index(eng._and(bad, guard_d))
-            if witness is not None:
-                self._raise_domain_escape(space, stmt, target, expr, witness)
-        return eng._balanced_or(parts)
-
-    def _raise_domain_escape(self, space, stmt, target, expr, witness: int):
-        from ...statespace import State
-        from ...unity.program import GuardDomainError
-
-        state = State(space, witness)
-        value = expr.eval(state)  # re-raises the original EvalError if any
-        domain = space.var(target).domain
-        raise GuardDomainError(
-            f"statement {stmt.name!r} assigns {target} := {value!r} "
-            f"outside domain {domain.name} in state {state.as_dict()!r}"
-        )
-
-    def _check_enumerable(self, expr) -> None:
-        from ...unity.expressions import Knowledge, UnresolvedKnowledgeError
-        from ...unity.statements import ResolvedKnowledge
-
-        if expr.knowledge_terms():
-            raise UnresolvedKnowledgeError(
-                f"cannot compile {expr!r} relationally: resolve knowledge "
-                "terms first (repro.core.kbp)"
-            )
-        if isinstance(expr, ResolvedKnowledge):
-            raise ValueError(
-                f"resolved knowledge {expr!r} cannot appear inside an "
-                "arithmetic expression on the symbolic path; lift it to the "
-                "guard's Boolean structure"
-            )
-
-    def _compile_bool(self, eng: RobddEngine, expr) -> int:
-        """A Boolean expression as a raw node over current levels.
-
-        Boolean connectives decompose structurally; value-level leaves
-        (comparisons, indexing, …) are compiled by enumerating assignments
-        of their support.  ``ResolvedKnowledge`` leaves become the bound
-        predicate's handle, so resolved KBP guards compile exactly.
+        Knowledge terms read ``resolution``; where the expression raises,
+        the lowest such state is re-run per state and raises.
         """
-        from ...unity.expressions import (
-            Binary,
-            Const,
-            Ite,
-            Knowledge,
-            Unary,
-            UnresolvedKnowledgeError,
-        )
-        from ...unity.statements import ResolvedKnowledge
+        from ...unity import support
 
-        memo: Dict[Any, int] = {}
-
-        def rec(e) -> int:
-            r = memo.get(e)
-            if r is not None:
-                return r
-            if isinstance(e, Const):
-                r = 1 if e.value else 0
-            elif isinstance(e, Unary) and e.op == "not":
-                r = eng._neg(rec(e.operand))
-            elif isinstance(e, Binary) and e.op in ("and", "or", "=>", "<=>"):
-                a, b = rec(e.left), rec(e.right)
-                if e.op == "and":
-                    r = eng._and(a, b)
-                elif e.op == "or":
-                    r = eng._or(a, b)
-                elif e.op == "=>":
-                    r = eng._or(eng._neg(a), b)
-                else:
-                    r = eng._neg(eng._xor(a, b))
-            elif isinstance(e, Ite):
-                c = rec(e.cond)
-                r = eng._or(
-                    eng._and(c, rec(e.then)),
-                    eng._and(eng._neg(c), rec(e.orelse)),
-                )
-            elif isinstance(e, ResolvedKnowledge):
-                r = self._pred_node(eng, e.predicate)
-            elif isinstance(e, Knowledge):
-                raise UnresolvedKnowledgeError(
-                    f"knowledge term {e!r} compiled without a resolution; "
-                    "solve the protocol's SI equation first (repro.core.kbp)"
-                )
-            else:
-                self._check_enumerable(e)
-                parts = [
-                    cube
-                    for adict, cube in self._assignments(eng, sorted(e.free_vars()))
-                    if e.eval(adict)
-                ]
-                r = eng._balanced_or(parts)
-            memo[e] = r
-            return r
-
-        return rec(expr)
+        eng = self.engine(space)
+        value, raised = support.compile_bool(_Nodes(self, eng), expr, resolution)
+        if raised is not None:
+            witness = eng.min_index(eng._and(raised, eng.domain))
+            if witness is not None:
+                support.reraise_expr(space, expr, witness, resolution)
+        return RobddHandle(eng, eng._and(value, eng.domain))
 
     def _pred_node(self, eng: RobddEngine, predicate) -> int:
         """A Predicate's node on this engine (reuse its handle when bound here)."""

@@ -17,7 +17,8 @@ from ..predicates import Predicate
 from ..proofs import refute_leads_to
 from ..statespace import StateSpace
 from ..transformers import strongest_invariant
-from ..unity import Program
+from ..unity import IsPrefix, Length, Program, var
+from ..unity.support import expr_predicate
 from .params import SeqTransParams
 
 #: Obligation labels shared by spec certificates and the replayer's model
@@ -32,23 +33,17 @@ def liveness_label(k: int) -> str:
 
 def safety_predicate(space: StateSpace) -> Predicate:
     """``w ⊑ x`` — the delivered sequence is a prefix of the sent one."""
-
-    def holds(state) -> bool:
-        w = state["w"]
-        x = state["x"]
-        return len(w) <= len(x) and tuple(x[: len(w)]) == tuple(w)
-
-    return Predicate.from_callable(space, holds)
+    return expr_predicate(space, IsPrefix(var("w"), var("x")))
 
 
 def w_length_eq(space: StateSpace, k: int) -> Predicate:
     """``|w| = k``."""
-    return Predicate.from_callable(space, lambda state: len(state["w"]) == k)
+    return expr_predicate(space, Length(var("w")).eq(k))
 
 
 def w_length_gt(space: StateSpace, k: int) -> Predicate:
     """``|w| > k``."""
-    return Predicate.from_callable(space, lambda state: len(state["w"]) > k)
+    return expr_predicate(space, Length(var("w")) > k)
 
 
 def j_eq(space: StateSpace, k: int) -> Predicate:

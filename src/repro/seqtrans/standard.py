@@ -36,7 +36,8 @@ from ..statespace import (
     TupleDomain,
     Variable,
 )
-from ..unity import Length, Program, Statement, const, lnot, lor, tup, var
+from ..unity import Length, Program, Statement, const, land, lnot, lor, tup, var
+from ..unity.support import expr_predicate
 from .channels import ChannelSpec, bounded_loss
 from .crash import CrashSpec
 from .params import SeqTransParams
@@ -94,21 +95,17 @@ def initial_predicate(
     if crash is not None:
         channel_init.update(crash.initial_assignment())
     fixed = params.apriori or {}
-
-    def is_initial(state) -> bool:
-        if state["i"] != 0 or state["j"] != 0:
-            return False
-        if state["z"] is not BOT or state["zp"] is not BOT:
-            return False
-        if state["w"] != ():
-            return False
-        for name, value in channel_init.items():
-            if state[name] != value:
-                return False
-        x = state["x"]
-        return all(x[k] == v for k, v in fixed.items())
-
-    return Predicate.from_callable(space, is_initial)
+    # ``BOT`` is a singleton with identity equality, so ``z = ⊥`` is ``z is ⊥``.
+    conjuncts = [
+        var("i").eq(0),
+        var("j").eq(0),
+        var("z").eq(BOT),
+        var("zp").eq(BOT),
+        var("w").eq(()),
+    ]
+    conjuncts += [var(name).eq(value) for name, value in channel_init.items()]
+    conjuncts += [var("x")[k].eq(v) for k, v in fixed.items()]
+    return expr_predicate(space, land(*conjuncts))
 
 
 def sender_statements(params: SeqTransParams, channel: ChannelSpec) -> List[Statement]:

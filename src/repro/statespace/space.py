@@ -312,6 +312,13 @@ class StateSpace:
             self.variables[k].domain.values[self.digit(index, k)] for k in positions
         )
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The expression compiler's per-space memo (repro.unity.support)
+        # stays in the process that built it.
+        state = dict(self.__dict__)
+        state.pop("_support", None)
+        return state
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, StateSpace):
             return self.variables == other.variables

@@ -13,7 +13,10 @@ address space).  Processes are what knowledge is ascribed to.
 For standard (knowledge-free) programs this module precomputes, per
 statement, the total successor function as an index array, from which the
 semantic ``sp``/``wp`` transformers and the program-level ``SP`` (eq. 26)
-are one pass of integer arithmetic (see :mod:`repro.transformers`).
+are one pass of integer arithmetic (see :mod:`repro.transformers`).  The
+arrays and the predicates of expressions come from the expression compiler
+(:mod:`repro.unity.support`), which evaluates each expression once per
+assignment of the variables it reads, never once per state.
 """
 
 from __future__ import annotations
@@ -22,15 +25,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..predicates import Predicate, limits
-from ..predicates.backends import backend_for_size
 from ..predicates.cache import TransformerCache
 from ..statespace import State, StateSpace
+from . import support
 from .expressions import EvalError, Expr, ExprLike, Knowledge, as_expr
 from .statements import Statement
-
-
-class GuardDomainError(EvalError):
-    """A statement left the declared domain of some variable."""
+from .support import GuardDomainError
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,8 @@ class Program:
     def expr_predicate(self, expr: ExprLike) -> Predicate:
         """The predicate denoted by a (knowledge-free) Boolean expression.
 
-        Explicit backends evaluate once per state; past the explicit-state
-        limit the expression is compiled symbolically by the ROBDD backend
-        (support enumeration only, never a state sweep).
+        Compiled by support enumeration (:func:`repro.unity.support.expr_predicate`);
+        past the explicit-state limit the ROBDD backend compiles it to a handle.
         """
         e = as_expr(expr)
         if e.knowledge_terms():
@@ -172,17 +171,7 @@ class Program:
                 f"{e!r} contains knowledge terms; resolve them first "
                 "(repro.core.kbp) or use KnowledgeOperator"
             )
-        space = self.space
-        if space.size > limits.get_limit("explicit"):
-            backend = backend_for_size(space.size)
-            if getattr(backend, "symbolic", False):
-                return backend.wrap(space, backend.expr_handle(space, e))
-            limits.check_explicit_size(space.size, f"evaluating {e!r} per state")
-        mask = 0
-        for i in range(space.size):
-            if e.eval(State(space, i)):
-                mask |= 1 << i
-        return Predicate(space, mask)
+        return support.expr_predicate(self.space, e)
 
     # ------------------------------------------------------------------
     # operational semantics
@@ -204,29 +193,12 @@ class Program:
         cached = self._successors.get(stmt.name)
         if cached is not None:
             return cached
-        space = self.space
         limits.check_explicit_size(
-            space.size,
+            self.space.size,
             f"building the successor array of statement {stmt.name!r} "
             "(the symbolic backend compiles statements to relations instead)",
         )
-        array: List[int] = [0] * space.size
-        for i in range(space.size):
-            state = State(space, i)
-            if not stmt.guard.eval(state):
-                array[i] = i
-                continue
-            changes = {}
-            for target, expr in zip(stmt.targets, stmt.exprs):
-                value = expr.eval(state)
-                domain = space.var(target).domain
-                if value not in domain:
-                    raise GuardDomainError(
-                        f"statement {stmt.name!r} assigns {target} := {value!r} "
-                        f"outside domain {domain.name} in state {state.as_dict()!r}"
-                    )
-                changes[target] = value
-            array[i] = space.reindex(i, changes)
+        array = support.successors(self.space, stmt)
         self._successors[stmt.name] = array
         return array
 
