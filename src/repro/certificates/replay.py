@@ -11,7 +11,8 @@ trusted base is
 * one-step successor lookup (``Program.successor_array``) — the program
   *text*, not a transformer — and the expression compiler behind it
   (:mod:`repro.unity.support`), which also gives each knowledge term's
-  body;
+  body and, for eq.-(25) refutations, ``P_x``'s successor arrays without
+  building ``P_x`` (``support.ResolvedView``);
 * the model registry, which rebuilds the named program from source and
   compares its digest against what the certificate claims to be about.
 
@@ -39,7 +40,8 @@ Soundness sketches (full argument in DESIGN.md §8):
   statement's stay-state before firing it.
 * **eq.-(13) resolutions** — recomputed innermost-first with the ``wcyl``
   primitive and the compiled term bodies; a certificate's recorded
-  resolution must match bit for bit before its resolved program is built.
+  resolution must match bit for bit before its resolved program, or
+  resolved view, is used.
 
 Why the ``int`` backend: the checker's job is to be a *small, exact*
 trusted base.  Replaying on the packed-word backend would re-admit the very
@@ -83,11 +85,11 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..predicates import Predicate, limits, using_backend, wcyl
 from ..unity import Program
-from ..unity.support import expr_predicate
+from ..unity.support import ResolvedView, expr_predicate
 from .canonical import (
     CertificateError,
     check_program_digest,
@@ -169,12 +171,19 @@ def _image(program: Program, p: Predicate) -> Predicate:
             table = program.kernel_table(bk, stmt)
             acc = bk.or_(acc, bk.image(handle, table, space.size), space.size)
         return bk.wrap(space, acc)
+    return _image_over(_arrays(program), p)
+
+
+def _image_over(
+    arrays: Sequence[Tuple[str, Sequence[int]]], p: Predicate
+) -> Predicate:
+    """:func:`_image`'s explicit loop over ``(name, successor array)`` pairs."""
     out = 0
     pm = p.mask
-    for _, array in _arrays(program):
+    for _, array in arrays:
         for i in _iter_bits(pm):
             out |= 1 << array[i]
-    return Predicate(program.space, out)
+    return Predicate(p.space, out)
 
 
 def _check_chain(
@@ -229,6 +238,18 @@ def _check_path(
     start_in: Optional[Predicate] = None,
     what: str = "path",
 ) -> None:
+    _check_steps(lambda: _arrays(program), states, statements, start_in, what)
+
+
+def _check_steps(
+    arrays: Callable[[], Sequence[Tuple[str, Sequence[int]]]],
+    states: Sequence[int],
+    statements: Sequence[str],
+    start_in: Optional[Predicate],
+    what: str,
+) -> None:
+    """A labeled path, step by step; ``arrays`` gives the successor arrays
+    once the path's shape has passed."""
     if not states:
         raise CertificateError(f"{what}: empty state path")
     if len(statements) != len(states) - 1:
@@ -237,7 +258,7 @@ def _check_path(
         raise CertificateError(
             f"{what}: does not start in the required set (state {states[0]})"
         )
-    amap = {name: array for name, array in _arrays(program)}
+    amap = dict(arrays())
     for step, name in enumerate(statements):
         array = amap.get(name)
         if array is None:
@@ -366,45 +387,69 @@ def _knows(space, variables, si: Predicate, body: Predicate) -> Predicate:
     return body & (wcyl(variables, si.implies(body)) | ~si)
 
 
-def _verify_resolution(
-    program: Program, si: Predicate, table: Sequence[Tuple[str, Predicate]]
-) -> Dict[Any, Predicate]:
-    """Recompute every knowledge term at ``si`` and match the recorded table.
+class _Eq13:
+    """Eq.-(13) resolutions recomputed for one replay's candidates.
 
     Terms are resolved innermost-first (ordered by nested-term count), each
     body compiled with the already-resolved subterms, then pushed through
-    eq. (13) with the ``wcyl`` primitive.  Any bit of
-    disagreement with the certificate's table rejects the artifact.
+    eq. (13) with the ``wcyl`` primitive.  Any bit of disagreement with a
+    certificate's table rejects the artifact.  Bodies are memoized per
+    replay, keyed by the term and its resolved subterms' fingerprints: a
+    non-nested body is the same for every candidate.
     """
-    space = program.space
-    terms = sorted(
-        program.knowledge_terms(),
-        key=lambda t: (len(t.knowledge_terms()), repr(t)),
-    )
-    recorded = dict(table)
-    if len(recorded) != len(table):
-        raise CertificateError("resolution table has duplicate terms")
-    if set(recorded) != {repr(t) for t in terms}:
-        raise CertificateError(
-            "resolution table does not cover exactly the program's "
-            "knowledge terms"
+
+    def __init__(self, program: Program):
+        self.space = program.space
+        views = {p.name: p.variables for p in program.processes.values()}
+        terms = sorted(
+            program.knowledge_terms(),
+            key=lambda t: (len(t.knowledge_terms()), repr(t)),
         )
-    views = {p.name: p.variables for p in program.processes.values()}
-    not_si = ~si
-    resolved: Dict[Any, Predicate] = {}
-    for term in terms:
-        variables = views.get(term.process)
-        if variables is None:
-            raise CertificateError(f"unknown process {term.process!r}")
-        body = expr_predicate(space, term.formula, resolved)
-        value = body & (wcyl(variables, si.implies(body)) | not_si)
-        if not recorded[repr(term)] == value:
-            raise CertificateError(
-                f"recorded resolution of {term!r} disagrees with eq. (13) "
-                "at this candidate SI"
+        self.terms = [
+            (
+                term,
+                repr(term),
+                views.get(term.process),
+                sorted(term.formula.knowledge_terms(), key=repr),
             )
-        resolved[term] = value
-    return resolved
+            for term in terms
+        ]
+        self.names = {name for _, name, _, _ in self.terms}
+        self.bodies: Dict[Any, Predicate] = {}
+
+    def verify(
+        self, si: Predicate, table: Sequence[Tuple[str, Predicate]]
+    ) -> Dict[Any, Predicate]:
+        """The resolution at ``si``, once it matches the recorded ``table``."""
+        recorded = dict(table)
+        if len(recorded) != len(table):
+            raise CertificateError("resolution table has duplicate terms")
+        if set(recorded) != self.names:
+            raise CertificateError(
+                "resolution table does not cover exactly the program's "
+                "knowledge terms"
+            )
+        not_si = ~si
+        resolved: Dict[Any, Predicate] = {}
+        for term, name, variables, subterms in self.terms:
+            if variables is None:
+                raise CertificateError(f"unknown process {term.process!r}")
+            key = (name, tuple(
+                resolved[t].fingerprint() if t in resolved else None
+                for t in subterms
+            ))
+            body = self.bodies.get(key)
+            if body is None:
+                body = expr_predicate(self.space, term.formula, resolved)
+                self.bodies[key] = body
+            value = body & (wcyl(variables, si.implies(body)) | not_si)
+            if not recorded[name] == value:
+                raise CertificateError(
+                    f"recorded resolution of {term!r} disagrees with eq. (13) "
+                    "at this candidate SI"
+                )
+            resolved[term] = value
+        return resolved
 
 
 # ----------------------------------------------------------------------
@@ -471,12 +516,13 @@ def _replay_solve(
         )
     seen: Dict[int, str] = {}
     solutions: List[Tuple[Predicate, Program]] = []
+    eq13 = _Eq13(program)
     for entry in cert.solutions:
         m = entry.candidate.mask
         if m in seen:
             raise CertificateError("duplicate candidate in solution table")
         seen[m] = "solution"
-        resolved_map = _verify_resolution(program, entry.candidate, entry.resolution)
+        resolved_map = eq13.verify(entry.candidate, entry.resolution)
         resolved = program.resolve(resolved_map)
         si = _check_chain(
             resolved, program.init, entry.chain, "solution chain"
@@ -487,6 +533,10 @@ def _replay_solve(
                 "program's SI differs from the candidate"
             )
         solutions.append((entry.candidate, resolved))
+    # Refutations are checked against P_x's successor arrays from the
+    # resolved view; where it has none, P_x itself is built, and its
+    # compile raises what it raises.
+    view = ResolvedView(space, program.statements)
     for ref in cert.refutations:
         m = ref.candidate.mask
         if m in seen:
@@ -494,15 +544,15 @@ def _replay_solve(
         seen[m] = "refutation"
         if not program.init.entails(ref.candidate):
             raise CertificateError("refuted candidate does not contain init")
-        resolved_map = _verify_resolution(program, ref.candidate, ref.resolution)
-        resolved = program.resolve(resolved_map)
+        resolved_map = eq13.verify(ref.candidate, ref.resolution)
         if ref.witness_kind == "escape":
-            _check_path(
-                resolved,
+            _check_steps(
+                lambda: view.arrays(resolved_map)
+                or _arrays(program.resolve(resolved_map)),
                 ref.path_states,
                 ref.path_statements,
-                start_in=program.init,
-                what="escape path",
+                program.init,
+                "escape path",
             )
             if ref.candidate.holds_at(ref.path_states[-1]):
                 raise CertificateError(
@@ -514,7 +564,13 @@ def _replay_solve(
                 raise CertificateError("unreached witness is incomplete")
             if not program.init.entails(closed):
                 raise CertificateError("closed set does not contain init")
-            if not _image(resolved, closed).entails(closed):
+            arrays = view.arrays(resolved_map)
+            image = (
+                _image(program.resolve(resolved_map), closed)
+                if arrays is None
+                else _image_over(arrays, closed)
+            )
+            if not image.entails(closed):
                 raise CertificateError("claimed closed set is not closed")
             if closed.holds_at(ref.missing):
                 raise CertificateError("missing state lies inside the closed set")
@@ -724,8 +780,9 @@ def _handle_sp_hat(cert: SpHatCertificate, model: Model) -> ReplayOutcome:
     check_program_digest(cert.program, program)
     if not cert.p.entails(cert.q):
         raise CertificateError("witness pair must satisfy [p ⇒ q]")
-    res_p = _verify_resolution(program, cert.p, cert.resolution_p)
-    res_q = _verify_resolution(program, cert.q, cert.resolution_q)
+    eq13 = _Eq13(program)
+    res_p = eq13.verify(cert.p, cert.resolution_p)
+    res_q = eq13.verify(cert.q, cert.resolution_q)
     resolved_p = program.resolve(res_p)
     resolved_q = program.resolve(res_q)
     if not _image(resolved_p, cert.p) == cert.image_p:
@@ -912,7 +969,7 @@ def _handle_kbp_spec(cert: KbpSpecCertificate, model: Model) -> ReplayOutcome:
     program = model.program
     check_program_digest(cert.program, program)
     sol = cert.solution
-    resolved_map = _verify_resolution(program, sol.candidate, sol.resolution)
+    resolved_map = _Eq13(program).verify(sol.candidate, sol.resolution)
     resolved = program.resolve(resolved_map)
     si = _check_chain(resolved, program.init, sol.chain, "KBP solution chain")
     if not si == sol.candidate:
@@ -1130,7 +1187,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"— {outcome.verdict}"
             )
         for journal_path in args.journal:
-            from ..robustness import JournalError, verify_journal
+            from .journal import JournalError, verify_journal
 
             try:
                 summary = verify_journal(journal_path)

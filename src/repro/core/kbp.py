@@ -47,8 +47,8 @@ from .knowledge import KnowledgeOperator
 #: sweep below it.
 PARALLEL_AUTO_FREE_BITS = 12
 
-#: ``solve_si(parallel="auto")`` sweeps a batchable, uncertified program
-#: with the batched Φ kernel in-process (``workers=1``) below this many
+#: ``solve_si(parallel="auto")`` sweeps a batchable program, certified or
+#: not, with the batched Φ kernel in-process (``workers=1``) below this many
 #: free state-bits, and through the process pool from here up.  Measured
 #: on kbp24 with 2 vCPUs (medians, EXPERIMENTS.md E22): a pool costs about
 #: 30 ms per solve, so in-process wins every pair at 12 bits (18 vs 48 ms)
@@ -302,15 +302,14 @@ def solve_si(
 
     ``parallel`` routes exhaustive sweeps through the sharded, batched
     solver in :mod:`repro.core.parallel` (bit-identical results).
-    ``"auto"`` sweeps an uncertified program that compiles to a Φ plan
-    in-process with the batched kernel (``workers=1``) below
+    ``"auto"`` sweeps a program that compiles to a Φ plan, certified or
+    not, in-process with the batched kernel (``workers=1``) below
     :data:`INPROCESS_AUTO_FREE_BITS` free state-bits and through the
-    process pool from there up; a program with no plan, or a certified
-    solve, takes the serial sweep below :data:`PARALLEL_AUTO_FREE_BITS`
-    and the pool from there up.  ``"force"`` always uses the sharded
-    solver for knowledge-based programs, ``"never"`` takes the serial
-    sweep: one in-process shard over every free bit on the per-candidate
-    resolver path, unsupervised.  ``workers`` is forwarded to the sharded
+    process pool from there up; a program with no plan takes the serial
+    sweep below :data:`PARALLEL_AUTO_FREE_BITS` and the pool from there
+    up.  ``"force"`` always uses the sharded solver for knowledge-based
+    programs, ``"never"`` takes the serial sweep: one in-process shard
+    over every free bit on the per-candidate resolver path, unsupervised.  ``workers`` is forwarded to the sharded
     solver, except on ``"auto"``'s in-process route.
 
     ``fault_policy`` (a :class:`repro.robustness.FaultPolicy`) and
@@ -403,8 +402,7 @@ def solve_si(
         if parallel == "force" or wants_robustness:
             return sharded.solve_si_parallel(program, **kwargs)
         if (
-            not emit_certificate
-            and free_bits < INPROCESS_AUTO_FREE_BITS
+            free_bits < INPROCESS_AUTO_FREE_BITS
             and sharded.phi_plan(program) is not None
         ):
             # Below the pool crossover a batchable sweep runs in-process.
@@ -516,32 +514,57 @@ def _candidate_evidence(
     resolver: CandidateResolver, candidate: Predicate
 ) -> Tuple[str, object]:
     """One candidate's certificate evidence: ``("solution", entry)`` or
-    ``("refutation", refutation)``.
+    ``("refutation", refutation)``, through the per-candidate resolver.
 
-    The certified walk of :class:`repro.core.parallel._ShardSweep` calls
-    it per candidate, so every route emits the same evidence for it.
+    The resolver walk of :class:`repro.core.parallel._ShardSweep` calls it
+    per candidate, and the batched walk per solution, so every route
+    emits the same evidence for a candidate.
     """
     # Lazy imports: repro.certificates depends on this module's data types.
-    from ..certificates.certs import (
-        CandidateRefutation,
-        KbpSolutionEntry,
-        resolution_table,
-    )
-    from ..proofs.modelcheck import labeled_path
+    from ..certificates.certs import KbpSolutionEntry, resolution_table
 
     table = resolution_table(resolver.resolution(candidate))
     resolved = resolver.resolved_program(candidate)
     result = sst(resolved, resolved.init)
-    value = result.predicate
-    if value == candidate:
+    if result.predicate == candidate:
         return "solution", KbpSolutionEntry(
             candidate=candidate, resolution=table, chain=result.chain
         )
-    if not value.entails(candidate):
+    return "refutation", _refutation(
+        candidate,
+        resolved.init.mask,
+        table,
+        result.predicate.mask,
+        lambda: [(s.name, resolved.successor_array(s)) for s in resolved.statements],
+    )
+
+
+def _refutation(
+    candidate: Predicate,
+    init_mask: int,
+    table,
+    value: int,
+    arrays: Callable[[], list],
+) -> object:
+    """Why ``candidate`` is no solution, given the mask ``value = Φ(x) ≠ x``.
+
+    ``arrays`` gives ``P_x``'s ``(statement name, successor array)`` pairs
+    in program order, for the escape path.  Both walks build refutations
+    here: the resolver walk from ``P_x`` itself, the batched walk from the
+    kernel's Φ and a resolved view.
+    """
+    from ..certificates.certs import CandidateRefutation
+    from ..proofs.modelcheck import labeled_path_over
+
+    space = candidate.space
+    x = candidate.mask
+    if value & ~x:
         # Φ(x) ⊄ x: some state outside x is reachable in P_x — show it.
-        path = labeled_path(resolved, resolved.init.mask, (~candidate).mask)
+        path = labeled_path_over(
+            arrays(), space.size, init_mask, space.full_mask & ~x
+        )
         assert path is not None  # value ⊄ candidate guarantees one
-        return "refutation", CandidateRefutation(
+        return CandidateRefutation(
             candidate=candidate,
             resolution=table,
             witness_kind="escape",
@@ -549,14 +572,14 @@ def _candidate_evidence(
             path_statements=path[1],
         )
     # Φ(x) ⊊ x: reachability confines itself to Φ(x), leaving a candidate
-    # state unreached.
-    missing = next((candidate & ~value).indices())
-    return "refutation", CandidateRefutation(
+    # state unreached — the lowest one.
+    gap = x & ~value
+    return CandidateRefutation(
         candidate=candidate,
         resolution=table,
         witness_kind="unreached",
-        closed=value,
-        missing=missing,
+        closed=Predicate(space, value),
+        missing=(gap & -gap).bit_length() - 1,
     )
 
 

@@ -32,10 +32,12 @@ and the sweep share one compile and re-solving a program compiles nothing.
 Exactness: every route's report is bit-identical — the same sorted
 ``solutions``, the same ``candidates_checked``, and (with
 ``emit_certificate=True``) the same per-candidate evidence in the same
-order, so stored certificates replay unchanged.  Certified sweeps skip the
-batched kernel and run the per-candidate evidence path inside each shard;
-:func:`_merged_certificate` then sorts the evidence by strictly
-descending free-bit submask, whatever the shard layout.
+order, so stored certificates replay unchanged.  Certified sweeps batch
+too: the kernel's first stage gives each candidate's resolution and
+guards, refutations come from Φ and a resolved view of ``P_x``, and only
+solutions rerun ``sst``.  :func:`_merged_certificate` then sorts the
+evidence by strictly descending free-bit submask, whatever the shard
+layout.
 
 ``any_solution=True`` turns the sweep into a pure well-posedness query:
 workers stop at their shard's first solution, the parent cancels every
@@ -45,6 +47,7 @@ solution exists.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import os
 import weakref
@@ -65,7 +68,7 @@ from ..predicates.backends.batch import (
 )
 from ..unity import Program
 from ..unity.expressions import Binary, Ite, Knowledge, Unary
-from ..unity.support import expr_mask, unguarded_successors
+from ..unity.support import expr_mask, guarded_successors, unguarded_successors
 from .transport import (
     DispatchStats,
     LocalPoolTransport,
@@ -338,13 +341,16 @@ def assignment_mask(positions: Sequence[int], assignment: int) -> int:
 class _ShardSweep:
     """One solve's shard walk: everything a shard's sweep reads.
 
-    The only candidate walker.  The serial sweep runs one of these as a
+    The only candidate walker, with two walks: batched (the program has a
+    Φ plan) and per-candidate through the resolver.  Both emit evidence
+    when the solve is certified.  The serial sweep runs one of these as a
     single shard; the in-process route builds one per solve and keeps it
     local, so nested solves and solves on other threads never see each
     other's state.  A pool worker builds one in :func:`_init_worker` and
     keeps it in :data:`_WORKER`; a ``repro.worker`` session keeps its own.
-    The resolver is built lazily: batched sweeps never need one unless a
-    poisoned candidate forces the exact per-candidate re-run.
+    The resolver is built lazily: a batched sweep needs one only for a
+    certified solution or for a block that a poisoned candidate forces
+    onto the exact per-candidate path.
     """
 
     def __init__(
@@ -400,9 +406,7 @@ class _ShardSweep:
         """
         if self.fault_plan is not None:
             self.fault_plan.before_shard(shard_index)
-        if self.emit_certificate:
-            result = self._sweep_certified(fixed_mask)
-        elif self.plan is not None:
+        if self.plan is not None:
             result = self._sweep_batched(fixed_mask)
         else:
             result = self._sweep_resolver(fixed_mask)
@@ -411,66 +415,92 @@ class _ShardSweep:
         return result
 
     def _sweep_batched(self, fixed_mask: int):
-        plan = self.plan
-        backend = self.backend
         solutions: List[int] = []
+        evidence: List[Tuple[str, Any]] = []
         checked = 0
         block: List[int] = []
-
-        def flush(block: List[int]) -> bool:
-            try:
-                phis = backend.batch_phi(plan, block)
-            except BatchPoisonError:
-                # Some candidate enables a statement outside its domain; the
-                # serial resolver raises the original error for it.
-                resolver = self.resolver()
-                space = self.program.space
-                phis = [resolver.phi(Predicate(space, m)).mask for m in block]
-            solutions.extend(m for m, value in zip(block, phis) if value == m)
-            return self.any_solution and bool(solutions)
-
         for mask in self.candidates(fixed_mask):
             block.append(mask)
             checked += 1
             if len(block) >= self.batch_size:
-                if flush(block):
-                    return solutions, checked, []
+                self._batch(block, solutions, evidence)
+                if self.any_solution and solutions:
+                    return solutions, checked, evidence
                 block = []
         if block:
-            flush(block)
-        return solutions, checked, []
+            self._batch(block, solutions, evidence)
+        return solutions, checked, evidence
+
+    def _batch(self, block: List[int], solutions, evidence) -> None:
+        """One block through the kernel.  A certified block reads each
+        candidate's resolution and guards from its first stage: solutions
+        rerun ``sst`` through the resolver for their chains, and
+        refutations come from Φ and the resolved view of ``P_x``."""
+        plan, backend = self.plan, self.backend
+        try:
+            if self.emit_certificate:
+                resolved = backend.batch_resolve(plan, block)
+                phis = backend.batch_chain(plan, resolved)
+            else:
+                phis = backend.batch_phi(plan, block)
+        except BatchPoisonError:
+            # Some candidate enables a statement outside its domain; the
+            # per-candidate path raises the original error for it.
+            for mask in block:
+                self._by_resolver(mask, solutions, evidence)
+            return
+        if not self.emit_certificate:
+            solutions.extend(m for m, value in zip(block, phis) if value == m)
+            return
+        from .kbp import _candidate_evidence, _refutation
+
+        space = self.program.space
+        keys = [repr(t) for t in sorted(self.program.knowledge_terms(), key=repr)]
+        rows = backend.batch_rows(plan, resolved)
+        for mask, value, (terms, guards) in zip(block, phis, rows):
+            candidate = Predicate(space, mask)
+            if value == mask:
+                solutions.append(mask)
+                evidence.append(_candidate_evidence(self.resolver(), candidate))
+                continue
+            table = tuple(zip(keys, (Predicate(space, t) for t in terms)))
+            refutation = _refutation(
+                candidate, plan.init_mask, table, value,
+                functools.partial(self._view, guards),
+            )
+            evidence.append(("refutation", refutation))
+
+    def _view(self, guards) -> List[Tuple[str, Any]]:
+        """``P_x``'s successor arrays from the plan and the guard masks."""
+        return [
+            (s.name, s.succ if g is None else guarded_successors(s.succ, g))
+            for s, g in zip(self.plan.statements, guards)
+        ]
 
     def _sweep_resolver(self, fixed_mask: int):
-        resolver = self.resolver()
-        space = self.program.space
         solutions: List[int] = []
-        checked = 0
-        for mask in self.candidates(fixed_mask):
-            checked += 1
-            candidate = Predicate(space, mask)
-            if resolver.phi(candidate) == candidate:
-                solutions.append(mask)
-                if self.any_solution:
-                    break
-        return solutions, checked, []
-
-    def _sweep_certified(self, fixed_mask: int):
-        from .kbp import _candidate_evidence
-
-        resolver = self.resolver()
-        space = self.program.space
-        solutions: List[int] = []
-        checked = 0
         evidence: List[Tuple[str, Any]] = []
+        checked = 0
         for mask in self.candidates(fixed_mask):
             checked += 1
-            kind, payload = _candidate_evidence(resolver, Predicate(space, mask))
-            evidence.append((kind, payload))
-            if kind == "solution":
-                solutions.append(mask)
-                if self.any_solution:
-                    break
+            self._by_resolver(mask, solutions, evidence)
+            if self.any_solution and solutions:
+                break
         return solutions, checked, evidence
+
+    def _by_resolver(self, mask: int, solutions, evidence) -> None:
+        """One candidate through the resolver, with evidence if certified."""
+        candidate = Predicate(self.program.space, mask)
+        if self.emit_certificate:
+            from .kbp import _candidate_evidence
+
+            kind, payload = _candidate_evidence(self.resolver(), candidate)
+            evidence.append((kind, payload))
+            solved = kind == "solution"
+        else:
+            solved = self.resolver().phi(candidate) == candidate
+        if solved:
+            solutions.append(mask)
 
 
 def _worker_sweep(
@@ -489,10 +519,10 @@ def _worker_sweep(
     Everything arrives by value, the parent's compiled Φ ``plan``
     included: a worker never recompiles it, so it computes over exactly
     the coordinator's plan.  ``plan`` is ``None`` when the program is not
-    batchable or the solve is certified; the sweep then takes the
-    per-candidate resolver path.  ``backend_selection`` replays the
-    parent's backend choice, which a spawned child would otherwise lose
-    (the selection is process-global state, not environment).
+    batchable; the sweep then takes the per-candidate resolver path.
+    ``backend_selection`` replays the parent's backend choice, which a
+    spawned child would otherwise lose (the selection is process-global
+    state, not environment).
     """
     if backend_selection is not None:
         set_default_backend(backend_selection)
@@ -704,7 +734,7 @@ def solve_si_parallel(
     # it directly and every worker receives it by value: inherited under
     # fork, pickled once per worker under spawn, carried in the attach
     # payload over sockets.
-    plan = None if emit_certificate else phi_plan(program)
+    plan = phi_plan(program)
     backend_selection = get_default_backend()
     if isinstance(backend_selection, PredicateBackend):
         backend_selection = backend_selection.name

@@ -30,7 +30,7 @@ that fingerprints are canonical across backends.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 
 class PredicateBackend:
@@ -203,16 +203,23 @@ class PredicateBackend:
     def batch_phi(self, plan, masks) -> List[int]:
         """``Φ(x) = sst_{P_x}(init)`` for a batch of candidate masks.
 
+        Two stages: :meth:`batch_resolve` (eq. 13, the candidates' term and
+        guard handles) and :meth:`batch_chain` (the eq.-(3) Kleene chain).
+        The certified sweep runs them apart to read the first stage's
+        masks through :meth:`batch_rows`; this call converts nothing.
         The base implementation is the exact per-candidate loop over this
         backend's scalar kernels — the reference the vectorized overrides
         must match bit for bit.  ``plan`` is a
         :class:`~repro.predicates.backends.batch.PhiPlan`.
         """
-        return [self.phi_of_mask(plan, mask) for mask in masks]
+        return self.batch_chain(plan, self.batch_resolve(plan, masks))
 
-    def phi_of_mask(self, plan, mask: int) -> int:
-        """One candidate's Φ via scalar kernels (eq. 13 + the eq.-3 chain).
+    def batch_resolve(self, plan, masks) -> Any:
+        """Each candidate's eq.-(13) term handles and knowledge-guard handles.
 
+        Raises :class:`~repro.predicates.backends.batch.BatchPoisonError`
+        when a candidate's guard enables a poisoned state.  The result is
+        opaque: :meth:`batch_chain` and :meth:`batch_rows` read it.
         ``plan`` is accessed only through its memoizing accessors
         (``init_handle``/``term_body``/``group_table``/``poison_handle``/
         ``succ_table``/``static_handle``), so each shared mask or array is
@@ -221,52 +228,82 @@ class PredicateBackend:
         from .batch import BatchPoisonError, eval_guard_postfix
 
         size = plan.space.size
-        x = self.from_mask_in(plan.space, mask)
-        not_x = self.not_(x, size)
-        terms = []
-        for position in range(len(plan.terms)):
-            body = plan.term_body(self, position)
-            table = plan.group_table(self, position)
-            implication = self.or_(not_x, body, size)  # x ⇒ body, pointwise
-            cylinder = self.quantify_groups(implication, table, size, True)
-            terms.append(
-                self.and_(body, self.or_(cylinder, not_x, size), size)
-            )
-        guards = []
-        for index, stmt in enumerate(plan.statements):
-            if stmt.guard is None:
-                guards.append(None)
-                continue
-            g = eval_guard_postfix(self, plan, stmt.guard, terms, size)
-            poison = plan.poison_handle(self, index)
-            if poison is not None and not self.is_false(
-                self.and_(g, poison, size), size
-            ):
-                raise BatchPoisonError(mask, stmt.name)
-            guards.append(g)
+        out = []
+        for mask in masks:
+            x = self.from_mask_in(plan.space, mask)
+            not_x = self.not_(x, size)
+            terms = []
+            for position in range(len(plan.terms)):
+                body = plan.term_body(self, position)
+                table = plan.group_table(self, position)
+                implication = self.or_(not_x, body, size)  # x ⇒ body, pointwise
+                cylinder = self.quantify_groups(implication, table, size, True)
+                terms.append(
+                    self.and_(body, self.or_(cylinder, not_x, size), size)
+                )
+            guards = []
+            for index, stmt in enumerate(plan.statements):
+                if stmt.guard is None:
+                    guards.append(None)
+                    continue
+                g = eval_guard_postfix(self, plan, stmt.guard, terms, size)
+                poison = plan.poison_handle(self, index)
+                if poison is not None and not self.is_false(
+                    self.and_(g, poison, size), size
+                ):
+                    raise BatchPoisonError(mask, stmt.name)
+                guards.append(g)
+            out.append((terms, guards))
+        return out
+
+    def batch_chain(self, plan, resolved) -> List[int]:
+        """Each candidate's Φ mask from :meth:`batch_resolve`'s result."""
+        size = plan.space.size
         init = plan.init_handle(self)
-        current = self.constant(plan.space, False)
-        # f.y = init ∨ SP_{P_x}.y is monotone once the guards are fixed, so
-        # the Kleene chain from false stabilizes within size + 1 steps.
-        for _ in range(size + 2):
-            acc = init
-            for index, (stmt, g) in enumerate(zip(plan.statements, guards)):
-                table = plan.succ_table(self, index)
-                if g is None:
-                    post = self.image(current, table, size)
-                else:
-                    post = self.or_(
-                        self.image(self.and_(current, g, size), table, size),
-                        self.diff(current, g, size),
-                        size,
-                    )
-                acc = self.or_(acc, post, size)
-            if self.equal(acc, current, size):
-                return self.to_mask(current, size)
-            current = acc
-        raise RuntimeError(  # pragma: no cover - monotone chains always stop
-            f"batched Φ chain exceeded {size + 2} steps on {size} states"
-        )
+        out = []
+        for _, guards in resolved:
+            current = self.constant(plan.space, False)
+            # f.y = init ∨ SP_{P_x}.y is monotone once the guards are fixed,
+            # so the Kleene chain from false stabilizes within size + 1 steps.
+            for _ in range(size + 2):
+                acc = init
+                for index, g in enumerate(guards):
+                    table = plan.succ_table(self, index)
+                    if g is None:
+                        post = self.image(current, table, size)
+                    else:
+                        post = self.or_(
+                            self.image(self.and_(current, g, size), table, size),
+                            self.diff(current, g, size),
+                            size,
+                        )
+                    acc = self.or_(acc, post, size)
+                if self.equal(acc, current, size):
+                    break
+                current = acc
+            else:  # pragma: no cover - monotone chains always stop
+                raise RuntimeError(
+                    f"batched Φ chain exceeded {size + 2} steps on {size} states"
+                )
+            out.append(self.to_mask(current, size))
+        return out
+
+    def batch_rows(
+        self, plan, resolved
+    ) -> List[Tuple[Tuple[int, ...], Tuple[Optional[int], ...]]]:
+        """``(term_masks, guard_masks)`` per candidate, as exact ints.
+
+        Terms follow ``plan.terms``; guards follow ``plan.statements``,
+        ``None`` where the statement's guard is not knowledge-based.
+        """
+        size = plan.space.size
+        return [
+            (
+                tuple(self.to_mask(t, size) for t in terms),
+                tuple(None if g is None else self.to_mask(g, size) for g in guards),
+            )
+            for terms, guards in resolved
+        ]
 
     # ------------------------------------------------------------------
     # cylinder kernels (group tables)

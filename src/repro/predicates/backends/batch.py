@@ -16,10 +16,13 @@ arrays so a predicate backend can evaluate Φ for *batches* of candidate
 masks at once without touching programs, expressions, or resolvers:
 
 * :meth:`~repro.predicates.backends.base.PredicateBackend.batch_phi` is
-  the entry point every backend implements — the base class provides an
+  the entry point every backend implements, in two stages:
+  ``batch_resolve`` (eq. 13's term handles and the guard handles) and
+  ``batch_chain`` (the Kleene chain); certified sweeps read the first
+  stage's masks through ``batch_rows``.  The base class provides an
   exact per-candidate loop over its scalar kernels (what the int backend
-  uses), and the numpy backend overrides it with a fully vectorized sweep
-  over a ``(batch, words)`` ``uint64`` matrix;
+  uses), and the numpy backend overrides the stages with fully vectorized
+  sweeps over a ``(batch, words)`` ``uint64`` matrix;
 * the plan is *compiled* from a knowledge-based :class:`repro.unity.Program`
   by :func:`repro.core.parallel.compile_phi_plan` (the layering keeps this
   module free of unity/core imports: only masks, names, and index tuples
@@ -143,7 +146,7 @@ class PhiPlan:
     # ------------------------------------------------------------------
     # the plan interface ``batch_phi`` evaluates against
     #
-    # ``phi_of_mask``/``batch_phi`` never touch the raw mask fields below
+    # ``batch_resolve``/``batch_chain`` never touch the raw mask fields below
     # this line — they go through these accessors, which convert each
     # shared mask to a backend handle once per process.  Guard postfix
     # programs reference statics by mask (``("static", mask)``).

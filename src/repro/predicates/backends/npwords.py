@@ -206,12 +206,12 @@ class NumpyWordsBackend(PredicateBackend):
         out[:, :size] = flags[:, group_of]
         return self._pack2d(out)
 
-    def batch_phi(self, plan, masks) -> List[int]:
+    def batch_resolve(self, plan, masks):
         from .batch import BatchPoisonError, eval_guard_postfix
 
         batch = len(masks)
         if batch == 0:
-            return []
+            return 0, [], []
         size = plan.space.size
         words = _n_words(size)
         raw = b"".join(mask.to_bytes(words * 8, "little") for mask in masks)
@@ -247,7 +247,14 @@ class NumpyWordsBackend(PredicateBackend):
                     row = int(np.flatnonzero(bad)[0])
                     raise BatchPoisonError(masks[row], stmt.name)
             guards.append(g)
+        return batch, terms, guards
 
+    def batch_chain(self, plan, resolved) -> List[int]:
+        batch, _, guards = resolved
+        if batch == 0:
+            return []
+        size = plan.space.size
+        words = _n_words(size)
         init = plan.init_handle(self)
         init_rows = np.broadcast_to(init, (batch, words))
         current = np.zeros((batch, words), dtype="<u8")
@@ -266,10 +273,25 @@ class NumpyWordsBackend(PredicateBackend):
                     )
                 acc = np.bitwise_or(acc, post)
             if np.array_equal(acc, current):
-                return [
-                    int.from_bytes(row.tobytes(), "little") for row in current
-                ]
+                return self._rows(current)
             current = acc
         raise RuntimeError(  # pragma: no cover - monotone chains always stop
             f"batched Φ chain exceeded {size + 2} steps on {size} states"
         )
+
+    def batch_rows(self, plan, resolved):
+        batch, terms, guards = resolved
+        term_rows = [self._rows(t) for t in terms]
+        guard_rows = [None if g is None else self._rows(g) for g in guards]
+        return [
+            (
+                tuple(column[row] for column in term_rows),
+                tuple(None if c is None else c[row] for c in guard_rows),
+            )
+            for row in range(batch)
+        ]
+
+    @staticmethod
+    def _rows(mat: "np.ndarray") -> List[int]:
+        """A (B, W) word matrix as B exact int masks."""
+        return [int.from_bytes(row.tobytes(), "little") for row in mat]

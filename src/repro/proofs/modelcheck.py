@@ -221,9 +221,24 @@ def labeled_path(
     limits.check_explicit_size(
         program.space.size, "materializing a labeled counterexample path"
     )
-    if allowed_mask is None:
-        allowed_mask = (1 << program.space.size) - 1
     arrays = [(s.name, program.successor_array(s)) for s in program.statements]
+    return labeled_path_over(
+        arrays, program.space.size, source_mask, goal_mask, allowed_mask
+    )
+
+
+def labeled_path_over(
+    arrays: Sequence[Tuple[str, Sequence[int]]],
+    size: int,
+    source_mask: int,
+    goal_mask: int,
+    allowed_mask: Optional[int] = None,
+) -> Optional[Tuple[Tuple[int, ...], Tuple[str, ...]]]:
+    """:func:`labeled_path`'s BFS over ``(statement name, successor array)``
+    pairs, tried in the given order at each state — the certified eq.-(25)
+    sweep passes a resolved view's arrays instead of a program's."""
+    if allowed_mask is None:
+        allowed_mask = (1 << size) - 1
     frontier: List[int] = []
     parent: dict = {}
     m = source_mask & allowed_mask

@@ -406,3 +406,75 @@ def unguarded_successors(space: StateSpace, stmt: Statement) -> Tuple[Tuple[int,
     if poison is None:
         return tuple(vectors.succ(delta)), 0
     return tuple(vectors.succ(np.where(poison, 0, delta))), vectors.mask(poison)
+
+
+def guarded_successors(succ: Sequence[int], guard_mask: int) -> List[int]:
+    """A knowledge-guarded statement's successor array in ``P_x``.
+
+    ``succ`` is the statement's :func:`unguarded_successors`, computed once
+    per statement; ``guard_mask`` is where its guard holds under the
+    candidate's resolution.  State ``i`` goes to ``succ[i]`` where the
+    guard holds and stays at ``i`` elsewhere.
+    """
+    return [j if guard_mask >> i & 1 else i for i, j in enumerate(succ)]
+
+
+class ResolvedView:
+    """``P_x``'s successor arrays for any resolution, without building ``P_x``.
+
+    A knowledge-free statement means the same in every ``P_x``: its array
+    is compiled once.  A statement with knowledge only in its guard is its
+    unguarded successor, also compiled once, plus the guard's mask under
+    the resolution (:func:`guarded_successors`).
+
+    :meth:`arrays` returns ``None`` where the view does not apply (a
+    right-hand side holds knowledge, or the space is past the explicit
+    limit) and wherever ``P_x``'s own compile raises: a guard that raises,
+    a guard that enables a poisoned state, or a knowledge-free statement
+    that raises.  The caller then builds ``P_x`` with ``Program.resolve``,
+    which raises exactly that error.
+    """
+
+    def __init__(self, space: StateSpace, statements: Sequence[Statement]):
+        self.space = space
+        self._parts = self._compile(statements)
+
+    def _compile(self, statements: Sequence[Statement]) -> Optional[list]:
+        """Per statement ``(name, array, None, 0)``, or ``(name, unguarded
+        successor, guard, poison mask)`` when the guard holds knowledge;
+        ``None`` when there is no view."""
+        space = self.space
+        if space.size > limits.get_limit("explicit"):
+            return None
+        parts = []
+        for stmt in statements:
+            if not stmt.is_knowledge_based():
+                try:
+                    parts.append((stmt.name, successors(space, stmt), None, 0))
+                except Exception:  # P_x's own compile raises it again
+                    return None
+            elif any(e.knowledge_terms() for e in stmt.exprs):
+                return None
+            else:
+                succ, poison = unguarded_successors(space, stmt)
+                parts.append((stmt.name, succ, stmt.guard, poison))
+        return parts
+
+    def arrays(self, resolution) -> Optional[List[Tuple[str, Sequence[int]]]]:
+        """``(name, successor array)`` of each statement of ``P_x``, in
+        program order, or ``None`` (see the class docstring)."""
+        if self._parts is None:
+            return None
+        out = []
+        for name, succ, guard, poison in self._parts:
+            if guard is None:
+                out.append((name, succ))
+                continue
+            try:
+                mask = expr_mask(self.space, guard, resolution)
+            except Exception:  # P_x's own compile raises it again
+                return None
+            if mask & poison:
+                return None
+            out.append((name, guarded_successors(succ, mask)))
+        return out

@@ -8,10 +8,11 @@ Two tiers of defense are exercised separately:
   digest is valid again): the independent replay checks must catch the
   lie on their own.
 
-The required tampering modes from the issue — dropped chain step, edited
-witness state, swapped initial condition, truncated refutation table,
-forged fingerprint — are all covered in the semantic tier, plus a few
-extras (duplicated chain link, flipped verdict field, wrong model key).
+The required tampering modes — dropped chain step, edited witness state,
+swapped initial condition, truncated refutation table, forged fingerprint
+— are all covered in the semantic tier, plus a few extras (duplicated
+chain link, flipped verdict field, wrong model key), and a batched
+kbp-solve's escape steps, closed sets and resolution tables.
 """
 
 from __future__ import annotations
@@ -221,6 +222,118 @@ def test_replay_rejects_unregistered_model(fig1_artifact):
         kind=fig1_artifact.kind, model="no-such-model", payload=fig1_artifact.payload
     )
     expect_rejection(unknown)
+
+
+# ----------------------------------------------------------------------
+# semantic tier on a batched kbp-solve: the replayer checks refutations
+# against the resolved view of P_x, never against the solver's evidence
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def kbp24_artifact():
+    """kbp24-f4's certified ``si-solve``, swept by the batched kernel."""
+    from repro.certificates import build_model
+    from repro.core import solve_si
+
+    report = solve_si(build_model("kbp24-f4").program, emit_certificate=True)
+    certificate = report.certificate
+    return Artifact(
+        kind=certificate.kind, model="kbp24-f4", payload=certificate.to_payload()
+    )
+
+
+def _resolved_program(refutation):
+    """``P_x`` for a refutation payload's candidate, from the solver."""
+    from repro.certificates import build_model
+    from repro.certificates.canonical import decode_predicate
+    from repro.core.kbp import resolve_at
+
+    program = build_model("kbp24-f4").program
+    candidate = decode_predicate(refutation["candidate"], program.space)
+    return program, resolve_at(program, candidate)
+
+
+def test_replay_rejects_escape_step_under_a_false_guard(kbp24_artifact):
+    """Relabel one step with a statement whose guard is false there under
+    the candidate's resolution: that statement leaves the state alone."""
+    payload = copy.deepcopy(kbp24_artifact.payload)
+    for refutation in payload["refutations"]:
+        if refutation["witness"] != "escape":
+            continue
+        _, resolved = _resolved_program(refutation)
+        states = refutation["path"]["states"]
+        labels = refutation["path"]["statements"]
+        for step, label in enumerate(labels):
+            for stmt in resolved.statements:
+                if stmt.name != label and not resolved.enabled(stmt).holds_at(
+                    states[step]
+                ):
+                    labels[step] = stmt.name
+                    expect_rejection(
+                        reissue(kbp24_artifact, payload), "does not map state"
+                    )
+                    return
+    pytest.fail("no escape step has a statement disabled at its source")
+
+
+def test_replay_rejects_unclosed_unreached_witness(kbp24_artifact):
+    """Drop a closed-set state that a knowledge-guarded statement reaches
+    from inside the set; init stays inside and ``missing`` outside."""
+    from repro.certificates.canonical import decode_predicate, encode_predicate
+    from repro.predicates import Predicate
+
+    payload = copy.deepcopy(kbp24_artifact.payload)
+    for refutation in payload["refutations"]:
+        if refutation["witness"] != "unreached":
+            continue
+        program, resolved = _resolved_program(refutation)
+        closed = decode_predicate(refutation["closed"], program.space)
+        for stmt in resolved.statements:
+            assert program.statement(stmt.name).is_knowledge_based()
+            array = resolved.successor_array(stmt)
+            for source in closed.indices():
+                target = array[source]
+                if target == source or program.init.holds_at(target):
+                    continue
+                refutation["closed"] = encode_predicate(
+                    Predicate(program.space, closed.mask & ~(1 << target))
+                )
+                assert target != refutation["missing"]
+                expect_rejection(
+                    reissue(kbp24_artifact, payload), "not closed"
+                )
+                return
+    pytest.fail("no unreached witness has a droppable reached state")
+
+
+def test_replay_rejects_flipped_resolution_bit(kbp24_artifact):
+    payload = copy.deepcopy(kbp24_artifact.payload)
+    entry = payload["refutations"][0]["resolution"][0][1]
+    bits = bytearray.fromhex(entry["bits"])
+    bits[0] ^= 1
+    entry["bits"] = bits.hex()
+    expect_rejection(reissue(kbp24_artifact, payload), "eq. \\(13\\)")
+
+
+def test_replay_resolves_programs_only_for_solutions(
+    kbp24_artifact, monkeypatch
+):
+    """Refutations replay on the resolved view; only solutions build
+    ``P_x``, whose programs the Figure-2 checks read."""
+    from repro.unity import Program
+
+    built = []
+    real_resolve = Program.resolve
+
+    def resolve_spy(self, resolution):
+        built.append(self.name)
+        return real_resolve(self, resolution)
+
+    monkeypatch.setattr(Program, "resolve", resolve_spy)
+    outcome = replay_artifact(kbp24_artifact)
+    assert outcome.verdict == "well-posed"
+    assert len(built) == len(kbp24_artifact.payload["solutions"]) >= 1
 
 
 # ----------------------------------------------------------------------

@@ -164,6 +164,8 @@ def random_kbps(draw):
 @settings(max_examples=20, deadline=None)
 @given(random_kbps(), st.sampled_from(["int", "numpy"]))
 def test_batch_phi_matches_resolver_phi(program, backend_name):
+    """Φ, and the first stage's term and guard masks the certified sweep
+    reads, agree with the resolver's resolution and resolved program."""
     plan = compile_phi_plan(program)
     assert plan is not None, "guard-only KBPs must compile"
     resolver = CandidateResolver(program)
@@ -172,8 +174,18 @@ def test_batch_phi_matches_resolver_phi(program, backend_name):
     masks = [program.init.mask | gray for gray in gray_masks(free_bits)]
     backend = get_backend(backend_name)
     batched = backend.batch_phi(plan, masks)
-    for mask, value in zip(masks, batched):
-        assert value == resolver.phi(Predicate(space, mask)).mask
+    resolved = backend.batch_resolve(plan, masks)
+    assert backend.batch_chain(plan, resolved) == batched
+    terms = sorted(program.knowledge_terms(), key=repr)
+    rows = backend.batch_rows(plan, resolved)
+    for mask, value, (term_masks, guard_masks) in zip(masks, batched, rows):
+        candidate = Predicate(space, mask)
+        assert value == resolver.phi(candidate).mask
+        resolution = resolver.resolution(candidate)
+        assert list(term_masks) == [resolution[t].mask for t in terms]
+        resolved_program = resolver.resolved_program(candidate)
+        for stmt, guard in zip(resolved_program.statements, guard_masks):
+            assert guard == resolved_program.enabled(stmt).mask
 
 
 # ----------------------------------------------------------------------
@@ -249,14 +261,25 @@ def test_parallel_report_equals_serial_multiprocess(program, backend_name):
 @settings(max_examples=6, deadline=None)
 @given(random_kbps())
 def test_certified_parallel_payload_is_byte_identical(program):
+    """The per-candidate walk, the default route, a batched walk over
+    several blocks and the pool emit the same certificate bytes, and the
+    replayer accepts it."""
     from repro.certificates.canonical import canonical_dumps
+    from repro.certificates.replay import _replay_solve
 
     serial = solve_si(program, emit_certificate=True, parallel="never")
-    parallel = solve_si_parallel(program, workers=2, emit_certificate=True)
-    _assert_same_report(serial, parallel)
-    assert canonical_dumps(parallel.certificate.to_payload()) == canonical_dumps(
-        serial.certificate.to_payload()
-    )
+    expected = canonical_dumps(serial.certificate.to_payload())
+    for report in (
+        solve_si(program, emit_certificate=True),
+        solve_si_parallel(
+            program, workers=1, batch_size=3, emit_certificate=True
+        ),
+        solve_si_parallel(program, workers=2, emit_certificate=True),
+    ):
+        _assert_same_report(serial, report)
+        assert canonical_dumps(report.certificate.to_payload()) == expected
+        with using_backend("int"):
+            _replay_solve(report.certificate, program)
 
 
 @settings(max_examples=10, deadline=None)
@@ -295,7 +318,7 @@ def test_nested_knowledge_falls_back_to_resolver_path():
     _assert_same_report(serial, parallel)
 
 
-def test_knowledge_in_assignments_is_ineligible_but_solvable():
+def _k_rhs_program() -> Program:
     space = space_of(a=BoolDomain(), b=BoolDomain())
     statements = [
         Statement(
@@ -305,17 +328,47 @@ def test_knowledge_in_assignments_is_ineligible_but_solvable():
             guard=Const(True),
         ),
     ]
-    program = Program(
+    return Program(
         space,
         Predicate(space, 1),
         statements,
         processes={"P": ["a"], "Q": ["b"]},
         name="k-rhs",
     )
+
+
+def test_knowledge_in_assignments_is_ineligible_but_solvable():
+    program = _k_rhs_program()
     assert compile_phi_plan(program) is None
     serial = solve_si(program, parallel="never")
     parallel = solve_si_parallel(program, workers=1)
     _assert_same_report(serial, parallel)
+
+
+def test_certified_knowledge_in_assignments_replays_through_resolve(
+    monkeypatch,
+):
+    """With knowledge on a right-hand side the resolved view does not
+    apply: every candidate replays through ``Program.resolve``."""
+    from repro.certificates.replay import _replay_solve
+
+    program = _k_rhs_program()
+    report = solve_si(program, emit_certificate=True)
+    certificate = report.certificate
+    assert certificate.refutations
+    resolved = []
+    real_resolve = Program.resolve
+
+    def resolve_spy(self, resolution):
+        resolved.append(self)
+        return real_resolve(self, resolution)
+
+    monkeypatch.setattr(Program, "resolve", resolve_spy)
+    with using_backend("int"):
+        solutions = _replay_solve(certificate, program)
+    assert len(solutions) == len(report.solutions)
+    candidates = len(certificate.solutions) + len(certificate.refutations)
+    assert len(resolved) == candidates
 
 
 def test_domain_exit_raises_the_original_error():
@@ -340,10 +393,12 @@ def test_domain_exit_raises_the_original_error():
     )
     plan = compile_phi_plan(program)
     assert plan is not None and any(s.poison_mask for s in plan.statements)
-    with pytest.raises(GuardDomainError):
-        solve_si(program, parallel="never")
-    with pytest.raises(GuardDomainError):
-        solve_si_parallel(program, workers=1)
+    for certified in (False, True):
+        with pytest.raises(GuardDomainError) as serial:
+            solve_si(program, parallel="never", emit_certificate=certified)
+        with pytest.raises(GuardDomainError) as batched:
+            solve_si_parallel(program, workers=1, emit_certificate=certified)
+        assert str(batched.value) == str(serial.value)
 
 
 def test_standard_program_delegates_to_serial():
@@ -434,11 +489,14 @@ def test_auto_route_keeps_the_serial_loop_without_a_plan(routes):
     _assert_same_report(solve_si(program, parallel="never"), report)
 
 
-def test_auto_route_keeps_certified_solves_serial(routes):
+def test_auto_route_sweeps_certified_solves_in_process(routes):
+    """A certified solve routes like an uncertified one: a Φ plan below
+    the pool crossover means the batched in-process sweep."""
     from repro.certificates import build_model
 
-    solve_si(build_model("kbp24-f6").program, emit_certificate=True)
-    assert routes["workers"] == [] and routes["compiles"] == 0
+    report = solve_si(build_model("kbp24-f6").program, emit_certificate=True)
+    assert routes["workers"] == [1] and routes["compiles"] == 1
+    assert report.certificate is not None
 
 
 @pytest.fixture(scope="module")
