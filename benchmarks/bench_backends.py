@@ -16,10 +16,8 @@ as a trajectory entry to ``BENCH_backends.json`` at the repo root.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -29,9 +27,8 @@ from repro.statespace import BoolDomain, IntRangeDomain, StateSpace, Variable
 from repro.transformers import sp_program
 from repro.unity import Program, Statement, const, var
 
-from .conftest import once, record
+from .conftest import append_trajectory, once, record
 
-_TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
 _RESULTS: dict = {}
 
 
@@ -279,11 +276,4 @@ def _write_trajectory() -> None:
         "space": _bench_program().space.size,
         **_RESULTS,
     }
-    try:
-        existing = json.loads(_TRAJECTORY.read_text())
-        if not isinstance(existing, list):
-            existing = [existing]
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = []
-    existing.append(entry)
-    _TRAJECTORY.write_text(json.dumps(existing, indent=2) + "\n")
+    append_trajectory("BENCH_backends.json", entry)

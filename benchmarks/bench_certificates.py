@@ -23,10 +23,8 @@ trajectory entry to ``BENCH_certificates.json`` at the repo root:
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
 
 from repro.certificates import loads as load_artifact
 from repro.core import solve_si
@@ -34,9 +32,8 @@ from repro.figures import fig1_program
 from repro.transformers import sst
 
 from .bench_kbp_solver import _random_kbp
-from .conftest import once, record
+from .conftest import append_trajectory, once, record
 
-_TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_certificates.json"
 _RESULTS: dict = {}
 
 #: issue target: certificate emission may cost at most this fraction extra.
@@ -188,11 +185,4 @@ def _write_trajectory() -> None:
         "timestamp": round(time.time()),
         **_RESULTS,
     }
-    try:
-        existing = json.loads(_TRAJECTORY.read_text())
-        if not isinstance(existing, list):
-            existing = [existing]
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = []
-    existing.append(entry)
-    _TRAJECTORY.write_text(json.dumps(existing, indent=2) + "\n")
+    append_trajectory("BENCH_certificates.json", entry)

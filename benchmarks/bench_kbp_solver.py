@@ -22,7 +22,6 @@ certified per-candidate walk over the default certified solve).  Set
 runs (the speedup floor is only asserted on the full-size run).
 """
 
-import json
 import os
 import random
 import time
@@ -34,9 +33,8 @@ from repro.predicates import Predicate
 from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.unity import Program, Statement, Unary, Var, const, knows, lnot, var
 
-from .conftest import once, record
+from .conftest import append_trajectory, once, record
 
-_TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_kbp_solver.json"
 _RESULTS: dict = {}
 
 _QUICK = os.environ.get("KBP_SOLVER_BENCH_QUICK") == "1"
@@ -450,11 +448,4 @@ def _write_trajectory() -> None:
         "space": 24,
         **_RESULTS,
     }
-    try:
-        existing = json.loads(_TRAJECTORY.read_text())
-        if not isinstance(existing, list):
-            existing = [existing]
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = []
-    existing.append(entry)
-    _TRAJECTORY.write_text(json.dumps(existing, indent=2) + "\n")
+    append_trajectory("BENCH_kbp_solver.json", entry)

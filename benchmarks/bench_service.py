@@ -15,7 +15,6 @@ full-size where the sweep dominates startup noise).
 Results append to ``BENCH_service.json``.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -25,9 +24,8 @@ from pathlib import Path
 
 from repro.service.client import ServiceClient
 
-from .conftest import once, record
+from .conftest import append_trajectory, once, record
 
-_TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 _QUICK = os.environ.get("SERVICE_BENCH_QUICK") == "1"
@@ -126,11 +124,4 @@ def _write_trajectory(**results) -> None:
         "timestamp": round(time.time()),
         **results,
     }
-    try:
-        existing = json.loads(_TRAJECTORY.read_text())
-        if not isinstance(existing, list):
-            existing = [existing]
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = []
-    existing.append(entry)
-    _TRAJECTORY.write_text(json.dumps(existing, indent=2) + "\n")
+    append_trajectory("BENCH_service.json", entry)

@@ -16,9 +16,7 @@ greedy-loss} × {no crash, receiver crash}):
 Results append to ``BENCH_soak.json``.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -26,9 +24,8 @@ from repro.robustness import FaultPlan, SimulatedKill
 from repro.sim import quick_config, run_soak
 from repro.sim.soak import LIVELOCK_VERDICT
 
-from .conftest import once, record
+from .conftest import append_trajectory, once, record
 
-_TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_soak.json"
 _RESULTS: dict = {}
 
 
@@ -110,11 +107,4 @@ def _write_trajectory() -> None:
         "timestamp": round(time.time()),
         **_RESULTS,
     }
-    try:
-        existing = json.loads(_TRAJECTORY.read_text())
-        if not isinstance(existing, list):
-            existing = [existing]
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = []
-    existing.append(entry)
-    _TRAJECTORY.write_text(json.dumps(existing, indent=2) + "\n")
+    append_trajectory("BENCH_soak.json", entry)

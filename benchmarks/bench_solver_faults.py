@@ -12,11 +12,9 @@ Set ``SOLVER_FAULTS_BENCH_QUICK=1`` for CI smoke runs (smaller sweep).
 Results append to ``BENCH_solver_faults.json``.
 """
 
-import json
 import os
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -24,9 +22,8 @@ from repro.core import solve_si_parallel
 from repro.robustness import FaultPlan, verify_journal
 
 from .bench_kbp_solver import _speedup_kbp
-from .conftest import once, record
+from .conftest import append_trajectory, once, record
 
-_TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_solver_faults.json"
 _RESULTS: dict = {}
 
 _QUICK = os.environ.get("SOLVER_FAULTS_BENCH_QUICK") == "1"
@@ -109,11 +106,4 @@ def _write_trajectory() -> None:
         "quick": _QUICK,
         **_RESULTS,
     }
-    try:
-        existing = json.loads(_TRAJECTORY.read_text())
-        if not isinstance(existing, list):
-            existing = [existing]
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = []
-    existing.append(entry)
-    _TRAJECTORY.write_text(json.dumps(existing, indent=2) + "\n")
+    append_trajectory("BENCH_solver_faults.json", entry)

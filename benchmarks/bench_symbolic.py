@@ -25,11 +25,9 @@ explicit point; the refusal/completion assertions are unchanged).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -38,9 +36,8 @@ from repro.predicates.limits import ExplicitStateLimitError
 from repro.seqtrans import SeqTransParams, build_symbolic_protocol
 from repro.transformers import sst
 
-from .conftest import once, record
+from .conftest import append_trajectory, once, record
 
-_TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_symbolic.json"
 _RESULTS: dict = {}
 
 _QUICK = os.environ.get("SYMBOLIC_BENCH_QUICK") == "1"
@@ -150,11 +147,4 @@ def _write_trajectory() -> None:
         "quick": _QUICK,
         **_RESULTS,
     }
-    try:
-        existing = json.loads(_TRAJECTORY.read_text())
-        if not isinstance(existing, list):
-            existing = [existing]
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = []
-    existing.append(entry)
-    _TRAJECTORY.write_text(json.dumps(existing, indent=2) + "\n")
+    append_trajectory("BENCH_symbolic.json", entry)

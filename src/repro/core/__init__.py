@@ -16,7 +16,6 @@ from .kbp import (
     resolution_at,
     resolve_at,
     solve_si,
-    solve_si_cubes,
     solve_si_iterative,
     sp_hat,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "resolve_at",
     "compile_phi_plan",
     "solve_si",
-    "solve_si_cubes",
     "solve_si_iterative",
     "solve_si_parallel",
     "sp_hat",

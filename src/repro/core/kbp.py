@@ -22,9 +22,7 @@ A candidate ``x`` is a **solution** when the standard program ``P_x``
     Φ(x) = sst_{P_x}(init)      —  x solves (25)  iff  Φ(x) = x.
 
 Solvers: :func:`solve_si` enumerates all candidates ``⊇ init`` exhaustively
-(complete on small spaces), :func:`solve_si_cubes` prunes whole sub-cubes
-of the candidate lattice at once (complete for non-nested knowledge, and
-the only complete route on symbolic-scale spaces), and
+(complete, and guarded by the ``solver`` size limit), and
 :func:`solve_si_iterative` runs the Kleene chain ``init, Φ(init), Φ²(init),
 …``, which may converge, cycle, or reach a non-solution — all three
 outcomes are reported.
@@ -34,10 +32,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..predicates import Predicate, iterate_to_fixpoint, limits
-from ..predicates.backends import backend_for_size
 from ..transformers import sp_program, sst
 from ..unity import Knowledge, Program
 from .knowledge import KnowledgeOperator
@@ -97,11 +94,6 @@ class CandidateResolver:
             s for s in program.statements if not s.is_knowledge_based()
         ]
         self._static_donor: Optional[Program] = None
-
-    def share_term_cache_with(self, other: "CandidateResolver") -> None:
-        """Reuse ``other``'s term-body memo (valid across same-space variants,
-        e.g. the two initial conditions of a Figure-2 comparison)."""
-        self._base_operator._term_cache = other._base_operator._term_cache
 
     @staticmethod
     def _lookup(store: "OrderedDict", key: bytes):
@@ -264,41 +256,27 @@ class SolveReport:
         return candidate
 
 
-def _check_exhaustive_size(space) -> None:
-    """Refuse exhaustive sweeps beyond the unified ``solver`` limit."""
-    limits.check_solver_size(space.size, symbolic_ok=True)
-
-
 def solve_si(
     program: Program,
-    resolver: Optional[CandidateResolver] = None,
     emit_certificate: bool = False,
     parallel: str = "auto",
     workers: Optional[int] = None,
     fault_policy: Optional[object] = None,
     checkpoint: Optional[object] = None,
-    method: str = "auto",
     progress: Optional[object] = None,
     remote_workers: Optional[object] = None,
 ) -> SolveReport:
     """Completely solve eq. (25) over all candidates ``x ⊇ init``.
 
-    ``method`` selects the complete solver for knowledge-based programs:
-
-    * ``"exhaustive"`` — test every candidate individually.  Exponential in
-      the number of non-initial states and guarded by the unified
-      ``solver`` limit (:mod:`repro.predicates.limits`).
-    * ``"cubes"`` — :func:`solve_si_cubes`: evaluate Φ once per sub-cube of
-      the ``[init, true]`` lattice and split only undecided cubes.  Not
-      size-guarded (it never enumerates candidates one by one), complete
-      for programs whose knowledge terms are non-nested.
-    * ``"auto"`` — exhaustive within the ``solver`` limit, cubes beyond it.
+    Every candidate is tested: ``ŜP`` is not monotone, so no candidate
+    can be skipped.  The sweep is exponential in the number of
+    non-initial states and guarded by the unified ``solver`` limit
+    (:mod:`repro.predicates.limits`); past it only the incomplete
+    :func:`solve_si_iterative` or a raised limit remain.
 
     Standard (knowledge-free) programs short-circuit to a single ``sst``
     (eq. 25 degenerates to eq. 1) with **no** size guard — on symbolic
     spaces the whole chain runs on ROBDD handles.
-    Pass a :class:`CandidateResolver` to share knowledge-term bodies with
-    related solves (the Figure-2 comparison does).
 
     ``parallel`` routes exhaustive sweeps through the sharded, batched
     solver in :mod:`repro.core.parallel` (bit-identical results).
@@ -325,16 +303,11 @@ def solve_si(
     certificate: each candidate's resolution plus either the sst chain
     (solutions) or a concrete refutation — a labeled escape path when
     ``Φ(x) ⊄ x``, a closed-set witness when ``Φ(x) ⊊ x``.  Only meaningful
-    for knowledge-based programs, and only on the exhaustive route (the
-    cube solver never visits refuted candidates individually).
+    for knowledge-based programs.
     """
     if parallel not in ("auto", "never", "force"):
         raise ValueError(
             f"parallel={parallel!r} is not one of 'auto', 'never', 'force'"
-        )
-    if method not in ("auto", "exhaustive", "cubes"):
-        raise ValueError(
-            f"method={method!r} is not one of 'auto', 'exhaustive', 'cubes'"
         )
     wants_robustness = (
         fault_policy is not None
@@ -358,34 +331,7 @@ def solve_si(
         # Standard program: eq. (25) degenerates to eq. (1); unique solution.
         solution = sst(program, program.init).predicate
         return SolveReport(solutions=(solution,), candidates_checked=1)
-    if method == "auto":
-        # Cubes only help (and are only sound) for non-nested knowledge;
-        # otherwise stay exhaustive so the size guard can name the
-        # remaining escape hatches.
-        cubes_apply = not any(
-            t.formula.knowledge_terms() for t in program.knowledge_terms()
-        )
-        method = (
-            "cubes"
-            if cubes_apply and space.size > limits.get_limit("solver")
-            else "exhaustive"
-        )
-    if method == "cubes":
-        if emit_certificate:
-            raise ValueError(
-                "the cube-pruning solver prunes refuted candidates in bulk "
-                "and cannot emit per-candidate evidence; use "
-                "method='exhaustive' (within the solver limit) for a "
-                "certified sweep"
-            )
-        if wants_robustness:
-            raise ValueError(
-                "fault_policy/checkpoint/progress/remote_workers are sharded "
-                "exhaustive-solver features; they cannot be combined with "
-                "method='cubes'"
-            )
-        return solve_si_cubes(program, resolver=resolver)
-    _check_exhaustive_size(space)
+    limits.check_solver_size(space.size)
     from . import parallel as sharded
 
     if parallel != "never":
@@ -393,7 +339,6 @@ def solve_si(
         kwargs = dict(
             workers=workers,
             emit_certificate=emit_certificate,
-            resolver=resolver,
             fault_policy=fault_policy,
             checkpoint=checkpoint,
             progress=progress,
@@ -410,104 +355,7 @@ def solve_si(
             return sharded.solve_si_parallel(program, **kwargs)
         if free_bits >= PARALLEL_AUTO_FREE_BITS:
             return sharded.solve_si_parallel(program, **kwargs)
-    return sharded.solve_serial(program, resolver, emit_certificate)
-
-
-def _some_free_index(p: Predicate) -> Optional[int]:
-    """A satisfying state index of ``p``, or None — mask- and handle-safe."""
-    if p._mask is not None:
-        m = p._mask
-        return (m & -m).bit_length() - 1 if m else None
-    return p._backend.some_index(p._handle, p.space.size)
-
-
-def _single_state(space, index: int) -> Predicate:
-    """The singleton predicate ``{index}`` without a 2^index-bit mask."""
-    if space.size <= limits.get_limit("explicit"):
-        return Predicate(space, 1 << index)
-    backend = backend_for_size(space.size)
-    return backend.wrap(space, backend.single(space, index))
-
-
-def solve_si_cubes(
-    program: Program, resolver: Optional[CandidateResolver] = None
-) -> SolveReport:
-    """Solve eq. (25) by pruning sub-cubes of the ``[init, true]`` lattice.
-
-    A *cube* ``[L, U]`` is the set of candidates ``x`` with ``L ⊆ x ⊆ U``.
-    For non-nested knowledge terms, eq. (13)'s resolution is **antitone**
-    in the candidate SI (a larger ``x`` strengthens ``x ⇒ p`` under the
-    ``wcyl`` and shrinks ``¬x``), so if the resolutions at the endpoints
-    agree term-for-term they agree on the *whole* cube.  Then ``Φ`` is
-    constant ``= c`` on the cube, and the cube's solutions are exactly
-    ``{c}`` if ``L ⊆ c ⊆ U`` and ``∅`` otherwise — one ``Φ`` evaluation
-    decides ``2^|U∖L|`` candidates.  Undecided cubes split on a single
-    free state (preferring one where the endpoint resolutions differ).
-
-    Complete: every candidate lies in exactly one decided cube.  Nested
-    knowledge terms are refused — composing antitone resolutions is not
-    antitone, so endpoint agreement would not imply constancy.
-
-    Never size-guarded; on symbolic spaces every lattice operation stays
-    on ROBDD handles (singleton split predicates included).
-
-    The returned report's ``candidates_checked`` counts *decided cubes*
-    (equivalently Φ evaluations plus refuted-cube probes), not individual
-    candidates — the latter can exceed 2^(2^40).
-    """
-    if not program.is_knowledge_based():
-        solution = sst(program, program.init).predicate
-        return SolveReport(solutions=(solution,), candidates_checked=1)
-    nested = sorted(
-        (t for t in program.knowledge_terms() if t.formula.knowledge_terms()),
-        key=repr,
-    )
-    if nested:
-        raise ValueError(
-            f"cube-pruning SI solver requires non-nested knowledge terms "
-            f"(resolution is antitone in the candidate SI only then), but "
-            f"{nested[0]!r} nests knowledge; use method='exhaustive' within "
-            "the solver limit"
-        )
-    if resolver is None:
-        resolver = CandidateResolver(program)
-    space = program.space
-    terms = sorted(program.knowledge_terms(), key=repr)
-    solutions: List[Predicate] = []
-    probes = 0
-    stack: List[Tuple[Predicate, Predicate]] = [
-        (program.init, Predicate.true(space))
-    ]
-    while stack:
-        low, high = stack.pop()
-        probes += 1
-        res_low = resolver.resolution(low)
-        res_high = resolver.resolution(high)
-        if all(res_low[t] == res_high[t] for t in terms):
-            # Resolution (hence Φ) is constant on [low, high]; the single
-            # possible fixed point is its value c, provided c lies inside.
-            value = resolver.phi(low)
-            if low.entails(value) and value.entails(high):
-                solutions.append(value)
-            continue
-        # Split on a free state, preferring one where the endpoint
-        # resolutions disagree (deciding its membership tends to collapse
-        # the disagreement fastest).
-        free = high - low
-        disagree = None
-        for t in terms:
-            d = (res_low[t] ^ res_high[t]) & free
-            if not d.is_false():
-                disagree = d
-                break
-        pick = disagree if disagree is not None else free
-        index = _some_free_index(pick)
-        assert index is not None  # endpoints differ, so the cube is proper
-        single = _single_state(space, index)
-        stack.append((low, high - single))
-        stack.append((low | single, high))
-    solutions.sort(key=lambda p: (p.count(), p.fingerprint()))
-    return SolveReport(solutions=tuple(solutions), candidates_checked=probes)
+    return sharded.solve_serial(program, emit_certificate)
 
 
 def _candidate_evidence(
@@ -663,17 +511,10 @@ def compare_inits(
     """
     if not init_strong.entails(init_weak):
         raise ValueError("init_strong must imply init_weak")
-    shared: List[CandidateResolver] = []
 
     def solved_report(init: Predicate) -> SolveReport:
-        variant = program.with_init(init)
-        resolver = CandidateResolver(variant)
-        if shared:
-            # Term bodies are init-independent: both variants reuse them.
-            resolver.share_term_cache_with(shared[0])
-        shared.append(resolver)
         report = solve_si(
-            variant, resolver=resolver, emit_certificate=emit_certificate
+            program.with_init(init), emit_certificate=emit_certificate
         )
         if not report.well_posed:
             raise ValueError("protocol variant has no SI solution")

@@ -143,12 +143,16 @@ def _read_exact(rfile, count: int) -> bytes:
 
     A clean EOF *before any byte* raises ``FrameError("connection
     closed")`` so callers can distinguish an orderly hangup from a frame
-    torn mid-transfer.
+    torn mid-transfer.  So does a link file closed under the reader, which
+    the file reports as ``ValueError``.
     """
     chunks = []
     remaining = count
     while remaining:
-        chunk = rfile.read(remaining)
+        try:
+            chunk = rfile.read(remaining)
+        except ValueError:
+            raise FrameError("connection closed") from None
         if not chunk:
             if remaining == count:
                 raise FrameError("connection closed")
@@ -188,10 +192,16 @@ def send_frame(
     meta: Optional[Dict[str, Any]] = None,
     body: bytes = b"",
 ) -> int:
-    """Write one frame; returns the byte count that hit the wire."""
+    """Write one frame; returns the byte count that hit the wire.
+
+    A closed link file raises ``FrameError("connection closed")``.
+    """
     data = encode_frame(frame_type, meta, body)
-    wfile.write(data)
-    wfile.flush()
+    try:
+        wfile.write(data)
+        wfile.flush()
+    except ValueError:
+        raise FrameError("connection closed") from None
     return len(data)
 
 

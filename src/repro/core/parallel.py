@@ -53,7 +53,7 @@ import os
 import weakref
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..predicates import Predicate
+from ..predicates import Predicate, limits
 from ..predicates.backends import (
     PredicateBackend,
     batch_backend_for,
@@ -362,7 +362,6 @@ class _ShardSweep:
         any_solution: bool,
         batch_size: int,
         plan: Optional[PhiPlan] = None,
-        resolver: Optional[Any] = None,
         fault_plan: Optional[Any] = None,
     ):
         self.program = program
@@ -378,7 +377,7 @@ class _ShardSweep:
             else None
         )
         self.fault_plan = fault_plan
-        self._resolver = resolver
+        self._resolver = None
 
     def resolver(self):
         """The sweep's :class:`~repro.core.kbp.CandidateResolver`."""
@@ -605,7 +604,6 @@ def solve_si_parallel(
     emit_certificate: bool = False,
     any_solution: bool = False,
     batch_size: int = BATCH_SIZE,
-    resolver: Optional[Any] = None,
     fault_policy: Optional[Any] = None,
     checkpoint: Optional[Any] = None,
     fault_plan: Optional[Any] = None,
@@ -625,9 +623,7 @@ def solve_si_parallel(
 
     ``workers`` defaults to ``REPRO_SOLVER_WORKERS`` or ``min(8, cpus)``;
     ``workers=1`` runs in-process (no executor) but still batches, which
-    is where most of the speedup lives on small hosts.  ``resolver`` is
-    honored on the in-process path only — worker processes build their own
-    (term caches cannot be shared across process boundaries).
+    is where most of the speedup lives on small hosts.
 
     Fault tolerance (DESIGN.md §10): multiprocess sweeps run under a
     :class:`repro.robustness.ShardSupervisor` — shards lost to worker
@@ -666,10 +662,10 @@ def solve_si_parallel(
         ShardJournal,
         ShardSupervisor,
     )
-    from .kbp import _check_exhaustive_size, solve_si
+    from .kbp import solve_si
 
     space = program.space
-    _check_exhaustive_size(space)
+    limits.check_solver_size(space.size)
     if not program.is_knowledge_based():
         if checkpoint is not None:
             raise ValueError(
@@ -787,12 +783,11 @@ def solve_si_parallel(
 
     in_process = workers == 1
     # The in-process sweep, also the supervisor's degradation path: this
-    # solve's own state, reusing the parent-compiled plan and a
-    # caller-supplied resolver.  No fault plan — a crash clause must not
-    # kill the parent.
+    # solve's own state, reusing the parent-compiled plan.  No fault plan
+    # — a crash clause must not kill the parent.
     serial_runner = _ShardSweep(
         program, base_mask, low_positions, emit_certificate,
-        any_solution, batch_size, plan=plan, resolver=resolver,
+        any_solution, batch_size, plan=plan,
     )
 
     drain_hook = None
@@ -827,11 +822,7 @@ def solve_si_parallel(
     )
 
 
-def solve_serial(
-    program: Program,
-    resolver: Optional[Any] = None,
-    emit_certificate: bool = False,
-):
+def solve_serial(program: Program, emit_certificate: bool = False):
     """The serial sweep: one in-process shard over every free bit.
 
     It walks the per-candidate resolver path (``plan=None``) and runs
@@ -843,7 +834,7 @@ def solve_serial(
     free_bits = _bit_positions(program.space.full_mask & ~base_mask)
     sweep = _ShardSweep(
         program, base_mask, free_bits, emit_certificate,
-        any_solution=False, batch_size=BATCH_SIZE, resolver=resolver,
+        any_solution=False, batch_size=BATCH_SIZE,
     )
     return _report(program, *sweep(0, 0), emit_certificate)
 

@@ -92,10 +92,6 @@ class PredicateBackend:
         mask = (1 << space.size) - 1 if value else 0
         return self.from_mask_in(space, mask)
 
-    def single(self, space, index: int) -> Any:
-        """The handle holding exactly at state ``index``."""
-        return self.from_mask_in(space, 1 << index)
-
     def some_index(self, handle: Any, size: int):
         """Index of some satisfying state (the least one), or ``None``.
 

@@ -672,10 +672,6 @@ class RobddBackend(PredicateBackend):
         eng = self.engine(space)
         return RobddHandle(eng, eng.domain if value else 0)
 
-    def single(self, space, index: int) -> RobddHandle:
-        eng = self.engine(space)
-        return RobddHandle(eng, eng.state_cube(index))
-
     def some_index(self, handle: RobddHandle, size: int) -> Optional[int]:
         return handle.engine.min_index(handle.node)
 

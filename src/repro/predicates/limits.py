@@ -109,28 +109,17 @@ def check_explicit_size(size: int, operation: str) -> None:
         )
 
 
-def check_solver_size(size: int, symbolic_ok: bool = False) -> None:
-    """Refuse an exhaustive eq.-(25) candidate sweep beyond the ``solver`` limit.
-
-    ``symbolic_ok=True`` records that the caller has a symbolic pruning
-    route available (the cube solver); the guard still fires — the *caller*
-    decides to take the symbolic route instead of calling this.
-    """
+def check_solver_size(size: int) -> None:
+    """Refuse an exhaustive eq.-(25) candidate sweep beyond the ``solver`` limit."""
     limit = get_limit("solver")
     if size > limit:
-        hatches = (
-            "escape hatches: solve_si(method='cubes') with the symbolic "
-            "backend (REPRO_PREDICATE_BACKEND=robdd) prunes whole candidate "
-            "cubes at once, solve_si_iterative runs an incomplete Kleene "
+        raise ExplicitStateLimitError(
+            f"state space of {size} states is too large for an exhaustive "
+            f"SI candidate sweep (2^free candidates; limit {limit}); "
+            "escape hatches: solve_si_iterative runs an incomplete Kleene "
             "probe, or raise REPRO_MAX_SOLVER_STATES / set_limit('solver', ...)"
             " — the limit applies even to the sharded solver in "
             "repro.core.parallel"
-        )
-        kind = "symbolic-capable " if symbolic_ok else ""
-        raise ExplicitStateLimitError(
-            f"state space of {size} states is too large for an exhaustive "
-            f"{kind}SI candidate sweep (2^free candidates; limit {limit}); "
-            + hatches
         )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import socket
 import struct
 
 import pytest
@@ -65,6 +66,18 @@ class TestRejection:
     def test_clean_eof_is_connection_closed(self):
         with pytest.raises(FrameError, match="connection closed"):
             recv_frame(io.BytesIO(b""))
+
+    def test_closed_link_file_is_connection_closed(self):
+        left, right = socket.socketpair()
+        with left, right:
+            rfile = left.makefile("rb")
+            wfile = right.makefile("wb")
+            rfile.close()
+            wfile.close()
+            with pytest.raises(FrameError, match="connection closed"):
+                recv_frame(rfile)
+            with pytest.raises(FrameError, match="connection closed"):
+                send_frame(wfile, "heartbeat")
 
     def test_torn_frame_is_not_a_clean_close(self):
         data = encode_frame("result", body=b"x" * 100)

@@ -678,6 +678,7 @@ def test_size_guard_names_both_escape_hatches():
     with pytest.raises(ValueError, match="solve_si_iterative") as exc_info:
         solve_si(big)
     assert "parallel" in str(exc_info.value)
+    assert "REPRO_MAX_SOLVER_STATES" in str(exc_info.value)
     with pytest.raises(ValueError, match="solve_si_iterative"):
         solve_si_parallel(big)
 

@@ -78,14 +78,12 @@ class TestGuardMessages:
         assert "robdd" in message
         assert "REPRO_MAX_EXPLICIT_STATES" in message
 
-    def test_solver_guard_names_cubes_iterative_and_parallel(
-        self, restore_limits
-    ):
+    def test_solver_guard_names_iterative_and_parallel(self, restore_limits):
         set_limit("solver", 8)
         with pytest.raises(ExplicitStateLimitError) as exc_info:
-            check_solver_size(9, symbolic_ok=True)
+            check_solver_size(9)
         message = str(exc_info.value)
-        assert "method='cubes'" in message
+        assert "cubes" not in message
         assert "solve_si_iterative" in message
         assert "repro.core.parallel" in message
         assert "REPRO_MAX_SOLVER_STATES" in message
@@ -110,12 +108,14 @@ class TestGuardsAreLive:
     """Module constants are aliases; the guards consult the live setting."""
 
     def test_raising_the_solver_limit_unlocks_a_sweep(self, restore_limits):
-        from repro.core.kbp import _check_exhaustive_size
-        from repro.statespace import BoolDomain, space_of
+        # Figure 2's knowledge is non-nested, yet past the limit the
+        # default solve is refused: there is no other complete route.
+        from repro.core import solve_si
+        from repro.figures import fig2_program
 
-        space = space_of(**{f"v{i}": BoolDomain() for i in range(5)})
-        set_limit("solver", 8)
+        program = fig2_program()
+        set_limit("solver", program.space.size - 1)
         with pytest.raises(ExplicitStateLimitError):
-            _check_exhaustive_size(space)
-        set_limit("solver", 64)
-        _check_exhaustive_size(space)  # no raise
+            solve_si(program)
+        set_limit("solver", program.space.size)
+        assert solve_si(program).well_posed

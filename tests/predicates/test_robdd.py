@@ -23,6 +23,7 @@ from repro.predicates import (
     wcyl,
 )
 from repro.predicates import limits
+from repro.predicates.backends.robdd import RobddHandle
 from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.transformers import sp_statement, sst, wp_statement
 
@@ -225,7 +226,8 @@ class TestSymbolicScaleBasics:
         space = self._big_space()
         bk = get_backend("robdd")
         index = 123_456_789
-        single = bk.wrap(space, bk.single(space, index))
+        engine = bk.engine(space)
+        single = bk.wrap(space, RobddHandle(engine, engine.state_cube(index)))
         assert single.count() == 1
         assert bk.some_index(single.handle(bk), space.size) == index
         assert single.holds_at(index)
