@@ -65,8 +65,9 @@ READ_DEADLINE = 600.0
 #: Worker protocol tag, echoed in attach handshakes.  /2 added the
 #: mandatory hello/auth handshake ahead of ``attach``; /3 carries the Φ
 #: plan inside the ``attach`` payload and drops the ``need-plan``/``plan``
-#: exchange.
-WORKER_PROTOCOL = "repro-worker/3"
+#: exchange; /4's ``attach`` payload is exactly the pool initializer's,
+#: and a daemon refuses one with a missing or unknown field.
+WORKER_PROTOCOL = "repro-worker/4"
 
 #: Shared-secret knob for the worker protocol: both the daemon and the
 #: coordinator read it (the daemon also takes ``--key-file``).  Any

@@ -38,11 +38,6 @@ guards, refutations come from Φ and a resolved view of ``P_x``, and only
 solutions rerun ``sst``.  :func:`_merged_certificate` then sorts the
 evidence by strictly descending free-bit submask, whatever the shard
 layout.
-
-``any_solution=True`` turns the sweep into a pure well-posedness query:
-workers stop at their shard's first solution, the parent cancels every
-not-yet-started shard, and the (partial) report says only whether a
-solution exists.
 """
 
 from __future__ import annotations
@@ -359,7 +354,6 @@ class _ShardSweep:
         base_mask: int,
         low_positions: List[int],
         emit_certificate: bool,
-        any_solution: bool,
         batch_size: int,
         plan: Optional[PhiPlan] = None,
         fault_plan: Optional[Any] = None,
@@ -368,7 +362,6 @@ class _ShardSweep:
         self.base_mask = base_mask
         self.low_positions = low_positions
         self.emit_certificate = emit_certificate
-        self.any_solution = any_solution
         self.batch_size = batch_size
         self.plan = plan
         self.backend = (
@@ -397,11 +390,9 @@ class _ShardSweep:
     ) -> Tuple[List[int], int, List[Tuple[str, Any]]]:
         """One shard's sweep: ``(solution_masks, candidates_checked, evidence)``.
 
-        Evidence is empty unless the sweep emits a certificate; with
-        ``any_solution`` the walk stops at the first solution (the
-        returned count is then partial, as documented).  A fault plan's
-        worker-side clauses fire here — ``crash``/``hang`` before the
-        sweep, ``delay`` after it (a valid result arriving late).
+        Evidence is empty unless the sweep emits a certificate.  A fault
+        plan's worker-side clauses fire here — ``crash``/``hang`` before
+        the sweep, ``delay`` after it (a valid result arriving late).
         """
         if self.fault_plan is not None:
             self.fault_plan.before_shard(shard_index)
@@ -423,8 +414,6 @@ class _ShardSweep:
             checked += 1
             if len(block) >= self.batch_size:
                 self._batch(block, solutions, evidence)
-                if self.any_solution and solutions:
-                    return solutions, checked, evidence
                 block = []
         if block:
             self._batch(block, solutions, evidence)
@@ -483,8 +472,6 @@ class _ShardSweep:
         for mask in self.candidates(fixed_mask):
             checked += 1
             self._by_resolver(mask, solutions, evidence)
-            if self.any_solution and solutions:
-                break
         return solutions, checked, evidence
 
     def _by_resolver(self, mask: int, solutions, evidence) -> None:
@@ -507,27 +494,28 @@ def _worker_sweep(
     base_mask: int,
     low_positions: List[int],
     emit_certificate: bool,
-    any_solution: bool,
     batch_size: int,
-    fault_plan: Optional[Any] = None,
-    backend_selection: Optional[str] = None,
-    plan: Optional[PhiPlan] = None,
+    plan: Optional[PhiPlan],
+    fault_plan: Optional[Any],
+    backend_selection: Optional[str],
 ) -> _ShardSweep:
     """A worker process's sweep, spawn-start-method clean.
 
-    Everything arrives by value, the parent's compiled Φ ``plan``
-    included: a worker never recompiles it, so it computes over exactly
-    the coordinator's plan.  ``plan`` is ``None`` when the program is not
-    batchable; the sweep then takes the per-candidate resolver path.
-    ``backend_selection`` replays the parent's backend choice, which a
-    spawned child would otherwise lose (the selection is process-global
-    state, not environment).
+    The keywords are the payload :func:`solve_si_parallel` builds, all
+    required: a payload missing a field or carrying an unknown one raises
+    ``TypeError``.  Everything arrives by value, the parent's compiled Φ
+    ``plan`` included: a worker never recompiles it, so it computes over
+    exactly the coordinator's plan.  ``plan`` is ``None`` when the program
+    is not batchable; the sweep then takes the per-candidate resolver
+    path.  ``backend_selection`` replays the parent's backend choice,
+    which a spawned child would otherwise lose (the selection is
+    process-global state, not environment).
     """
     if backend_selection is not None:
         set_default_backend(backend_selection)
     return _ShardSweep(
-        program, base_mask, low_positions, emit_certificate, any_solution,
-        batch_size, plan=plan, fault_plan=fault_plan,
+        program, base_mask, low_positions, emit_certificate, batch_size,
+        plan=plan, fault_plan=fault_plan,
     )
 
 
@@ -536,10 +524,10 @@ def _worker_sweep(
 _WORKER: Optional[_ShardSweep] = None
 
 
-def _init_worker(*args: Any, **kwargs: Any) -> None:
-    """Pool initializer: build this process's sweep (:func:`_worker_sweep`)."""
+def _init_worker(payload: Dict[str, Any]) -> None:
+    """Pool initializer: build this process's sweep from the payload."""
     global _WORKER
-    _WORKER = _worker_sweep(*args, **kwargs)
+    _WORKER = _worker_sweep(**payload)
 
 
 def _sweep_shard(
@@ -602,7 +590,6 @@ def solve_si_parallel(
     program: Program,
     workers: Optional[int] = None,
     emit_certificate: bool = False,
-    any_solution: bool = False,
     batch_size: int = BATCH_SIZE,
     fault_policy: Optional[Any] = None,
     checkpoint: Optional[Any] = None,
@@ -617,9 +604,7 @@ def solve_si_parallel(
     Bit-identical to :func:`repro.core.kbp.solve_si` on complete sweeps:
     the same sorted solutions, the same candidate count, and (under
     ``emit_certificate``) the same evidence order, hence the same
-    certificate digests.  ``any_solution=True`` answers well-posedness
-    only: the sweep stops at the first solution found, outstanding shards
-    are cancelled, and ``candidates_checked`` reflects the partial walk.
+    certificate digests.
 
     ``workers`` defaults to ``REPRO_SOLVER_WORKERS`` or ``min(8, cpus)``;
     ``workers=1`` runs in-process (no executor) but still batches, which
@@ -688,10 +673,6 @@ def solve_si_parallel(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if fault_policy is None:
         fault_policy = FaultPolicy()
-    if checkpoint is not None and any_solution:
-        raise ValueError(
-            "checkpoint requires a complete sweep; any_solution stops early"
-        )
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
 
@@ -730,10 +711,22 @@ def solve_si_parallel(
     # it directly and every worker receives it by value: inherited under
     # fork, pickled once per worker under spawn, carried in the attach
     # payload over sockets.
-    plan = phi_plan(program)
+    sweep_args = dict(
+        program=program,
+        base_mask=base_mask,
+        low_positions=low_positions,
+        emit_certificate=emit_certificate,
+        batch_size=batch_size,
+        plan=phi_plan(program),
+    )
     backend_selection = get_default_backend()
     if isinstance(backend_selection, PredicateBackend):
         backend_selection = backend_selection.name
+    # The one payload every worker sweep is built from (`_worker_sweep`'s
+    # keywords): the pool's initargs and the socket attach body.
+    payload = dict(
+        sweep_args, fault_plan=fault_plan, backend_selection=backend_selection
+    )
     stats = DispatchStats(start_method=resolved_method) if workers > 1 else None
     # One log serves the supervisor *and* the pool factory, so transport
     # degradation (socket → local) is an incident on the report, not a
@@ -746,17 +739,7 @@ def solve_si_parallel(
                 return SocketTransport(
                     addresses,
                     program_digest=header["program"],
-                    attach_args=dict(
-                        program=program,
-                        base_mask=base_mask,
-                        low_positions=low_positions,
-                        emit_certificate=emit_certificate,
-                        any_solution=any_solution,
-                        batch_size=batch_size,
-                        fault_plan=fault_plan,
-                        backend_selection=backend_selection,
-                        plan=plan,
-                    ),
+                    attach_args=payload,
                     stats=stats,
                     log=shared_log,
                     net_plan=fault_plan
@@ -773,22 +756,16 @@ def solve_si_parallel(
             workers=min(workers, len(shard_masks)),
             mp_context=mp.get_context(resolved_method),
             initializer=_init_worker,
-            initargs=(
-                program, base_mask, low_positions,
-                emit_certificate, any_solution, batch_size, fault_plan,
-                backend_selection, plan,
-            ),
+            initargs=(payload,),
             stats=stats,
         )
 
     in_process = workers == 1
     # The in-process sweep, also the supervisor's degradation path: this
     # solve's own state, reusing the parent-compiled plan.  No fault plan
-    # — a crash clause must not kill the parent.
-    serial_runner = _ShardSweep(
-        program, base_mask, low_positions, emit_certificate,
-        any_solution, batch_size, plan=plan,
-    )
+    # — a crash clause must not kill the parent — and no backend
+    # selection, since the parent's is the one in force.
+    serial_runner = _ShardSweep(**sweep_args)
 
     drain_hook = None
     if collect_stats and not in_process:
@@ -803,7 +780,6 @@ def solve_si_parallel(
         task=_sweep_shard,
         shard_masks=shard_masks,
         policy=fault_policy,
-        any_solution=any_solution,
         journal=journal,
         journal_header=header,
         # Parent-side clauses (kill/torn) only; worker clauses travel
@@ -833,8 +809,7 @@ def solve_serial(program: Program, emit_certificate: bool = False):
     base_mask = program.init.mask
     free_bits = _bit_positions(program.space.full_mask & ~base_mask)
     sweep = _ShardSweep(
-        program, base_mask, free_bits, emit_certificate,
-        any_solution=False, batch_size=BATCH_SIZE,
+        program, base_mask, free_bits, emit_certificate, BATCH_SIZE
     )
     return _report(program, *sweep(0, 0), emit_certificate)
 

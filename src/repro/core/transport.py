@@ -30,6 +30,7 @@ the report instead of silent.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import queue
@@ -64,14 +65,38 @@ HEARTBEAT_TIMEOUT_ENV_VAR = "REPRO_SOCKET_HEARTBEAT_TIMEOUT"
 DEFAULT_HEARTBEAT = 0.5
 DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 
+#: Seconds a socket worker gets to accept a connection.
+CONNECT_TIMEOUT = 5.0
+
+
+def _seconds_from_env(name: str, default: float) -> float:
+    """``name`` as a positive, finite number of seconds (``default`` if unset).
+
+    Anything else is refused here, naming the variable: a zero, negative
+    or non-finite value would otherwise reach ``socket.settimeout`` in a
+    link thread, which dies on it and leaves its lease pending forever.
+    """
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a number of seconds") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"{name} must be a positive, finite number of seconds, got {raw!r}"
+        )
+    return value
+
 
 def heartbeat_interval() -> float:
-    return float(os.environ.get(HEARTBEAT_ENV_VAR) or DEFAULT_HEARTBEAT)
+    return _seconds_from_env(HEARTBEAT_ENV_VAR, DEFAULT_HEARTBEAT)
 
 
 def heartbeat_timeout() -> float:
-    return float(
-        os.environ.get(HEARTBEAT_TIMEOUT_ENV_VAR) or DEFAULT_HEARTBEAT_TIMEOUT
+    return _seconds_from_env(
+        HEARTBEAT_TIMEOUT_ENV_VAR, DEFAULT_HEARTBEAT_TIMEOUT
     )
 
 
@@ -86,14 +111,12 @@ class DispatchStats:
     the attach payload for socket workers) is recorded separately in
     ``init_bytes`` so the two costs cannot be conflated.
 
-    One stats object can serve several transports in sequence — a solve
-    that degrades from socket workers to a local pool keeps accumulating
-    into the same instance, and ``transports`` records every dispatch
-    mechanism that carried shards.  :meth:`as_dict` output survives a
-    JSON round-trip through :meth:`from_dict`, and :meth:`merge` combines
-    two accounts (e.g. per-transport snapshots) into one; derived values
-    like ``bytes_per_shard`` are always recomputed from the counts, never
-    trusted from a serialized copy.
+    One stats object serves every transport of a solve in sequence — a
+    solve that degrades from socket workers to a local pool keeps
+    accumulating into the same instance, and ``transports`` records every
+    dispatch mechanism that carried shards.  :meth:`as_dict` is the
+    JSON-ready snapshot; its ``bytes_per_shard`` is rounded for display,
+    while the property is always recomputed from the raw counts.
     """
 
     start_method: str = ""
@@ -121,9 +144,9 @@ class DispatchStats:
     def bytes_per_shard(self) -> float:
         """Mean per-shard payload; exactly 0.0 when nothing was dispatched.
 
-        Derived — never stored, never rounded internally — so merged and
-        round-tripped stats recompute it from the raw counts instead of
-        averaging averages.
+        Derived — never stored, never rounded internally — so a solve
+        that dispatched through several transports reports total bytes
+        over total shards, not an average of averages.
         """
         if self.shards_dispatched <= 0:
             return 0.0
@@ -159,49 +182,6 @@ class DispatchStats:
             "workers_lost": self.workers_lost,
             "duplicate_results": self.duplicate_results,
         }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "DispatchStats":
-        """Rebuild stats from :meth:`as_dict` output (JSON round-trip safe).
-
-        ``bytes_per_shard`` in the input is ignored — it is derived state,
-        and the serialized copy is rounded; trusting it would make
-        round-tripped stats disagree with their own counts.
-        """
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        kwargs = {k: v for k, v in doc.items() if k in known}
-        kwargs["transports"] = list(kwargs.get("transports", []))
-        return cls(**kwargs)
-
-    def merge(self, other: "DispatchStats") -> "DispatchStats":
-        """Combine two accounts into a new one (counts add, peaks max).
-
-        A degraded solve that dispatched through both a socket transport
-        and a local pool merges to one account whose ``bytes_per_shard``
-        is the true overall mean — total bytes over total shards — not an
-        average of the two per-transport means.
-        """
-        transports = list(self.transports)
-        for name in other.transports:
-            if name not in transports:
-                transports.append(name)
-        return DispatchStats(
-            start_method=self.start_method or other.start_method,
-            shards_dispatched=self.shards_dispatched + other.shards_dispatched,
-            bytes_dispatched=self.bytes_dispatched + other.bytes_dispatched,
-            init_bytes=self.init_bytes + other.init_bytes,
-            worker_peak_rss_kb=max(
-                self.worker_peak_rss_kb, other.worker_peak_rss_kb
-            ),
-            transports=transports,
-            frames_sent=self.frames_sent + other.frames_sent,
-            frames_received=self.frames_received + other.frames_received,
-            net_bytes_sent=self.net_bytes_sent + other.net_bytes_sent,
-            net_bytes_received=self.net_bytes_received
-            + other.net_bytes_received,
-            workers_lost=self.workers_lost + other.workers_lost,
-            duplicate_results=self.duplicate_results + other.duplicate_results,
-        )
 
 
 def _probe_worker_rss(pause: float) -> Tuple[int, int]:
@@ -422,10 +402,6 @@ class SocketTransport(ShardTransport):
         stats: Optional[DispatchStats] = None,
         log: Optional[Any] = None,
         net_plan: Optional[Any] = None,
-        heartbeat: Optional[float] = None,
-        timeout: Optional[float] = None,
-        connect_timeout: float = 5.0,
-        auth_key: Optional[bytes] = None,
     ):
         if not addresses:
             raise SocketTransportError("no worker addresses given")
@@ -436,13 +412,12 @@ class SocketTransport(ShardTransport):
         self.stats = stats
         self.log = log
         self.net_plan = net_plan
-        self.heartbeat = heartbeat if heartbeat is not None else heartbeat_interval()
-        self.timeout = timeout if timeout is not None else heartbeat_timeout()
-        self.connect_timeout = connect_timeout
-        #: shared secret for the mutual HMAC handshake (AUTH_KEY_ENV_VAR
-        #: when not given); both directions of this protocol carry
-        #: pickles, so keyless links are accepted for loopback only.
-        self.auth_key = auth_key if auth_key is not None else load_auth_key()
+        self.heartbeat = heartbeat_interval()
+        self.timeout = heartbeat_timeout()
+        #: shared secret for the mutual HMAC handshake (AUTH_KEY_ENV_VAR);
+        #: both directions of this protocol carry pickles, so keyless
+        #: links are accepted for loopback only.
+        self.auth_key = load_auth_key()
         self._attach_payload = pickle.dumps(
             attach_args, protocol=pickle.HIGHEST_PROTOCOL
         )
@@ -502,7 +477,7 @@ class SocketTransport(ShardTransport):
             ):
                 raise ConnectionRefusedError("injected conn-refused (fault plan)")
             sock = socket.create_connection(
-                parse_address(link.address), timeout=self.connect_timeout
+                parse_address(link.address), timeout=CONNECT_TIMEOUT
             )
         except OSError as exc:
             raise SocketTransportError(

@@ -79,7 +79,7 @@ class IntBitsBackend(PredicateBackend):
     # -- queries ----------------------------------------------------------
 
     def popcount(self, handle: int, size: int) -> int:
-        return handle.bit_count()
+        return bin(handle).count("1")
 
     def equal(self, a: int, b: int, size: int) -> bool:
         return a == b
@@ -113,7 +113,7 @@ class IntBitsBackend(PredicateBackend):
 
     def preimage(self, handle: int, table: IntSuccessorTable, size: int) -> int:
         full = (1 << size) - 1
-        count = handle.bit_count()
+        count = bin(handle).count("1")
         pred = table.pred_masks()
         # Iterate the smaller of q / ¬q: preimage commutes with complement
         # for total functions, so wp.s.q = ¬ wp.s.(¬q).

@@ -386,7 +386,7 @@ class Predicate:
         """Number of states satisfying the predicate."""
         if self._mask is None:
             return self._backend.popcount(self._handle, self.space.size)
-        return self._mask.bit_count()
+        return bin(self._mask).count("1")
 
     def indices(self) -> Iterator[int]:
         """Indices of satisfying states, ascending."""

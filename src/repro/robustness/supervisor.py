@@ -71,6 +71,13 @@ class SolverWorkerError(RuntimeError):
         )
 
 
+#: Retry backoff: the first re-dispatch waits ``BACKOFF_BASE`` seconds,
+#: each further one ``BACKOFF_FACTOR`` times longer, up to ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 2.0
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
     """How the supervisor reacts to lost shards.
@@ -82,9 +89,6 @@ class FaultPolicy:
 
     max_retries: int = 2
     shard_deadline: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
     serial_fallback: bool = True
 
     @classmethod
@@ -100,8 +104,7 @@ class FaultPolicy:
         """Seconds to pause before re-dispatching attempt ``attempt``."""
         if attempt <= 1:
             return 0.0
-        delay = self.backoff_base * self.backoff_factor ** (attempt - 2)
-        return min(delay, self.backoff_cap)
+        return min(BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 2), BACKOFF_CAP)
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,6 @@ class ShardSupervisor:
         shard_masks: Sequence[int],
         policy: FaultPolicy,
         serial_runner: Callable[[int, int], ShardResult],
-        any_solution: bool = False,
         journal: Optional[ShardJournal] = None,
         journal_header: Optional[Dict[str, Any]] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -199,7 +201,6 @@ class ShardSupervisor:
         self.task = task
         self.shard_masks = list(shard_masks)
         self.policy = policy
-        self.any_solution = any_solution
         self.journal = journal
         self.journal_header = journal_header or {}
         self.fault_plan = fault_plan
@@ -207,8 +208,8 @@ class ShardSupervisor:
         self.encode_evidence = encode_evidence
         self.decode_evidence = decode_evidence
         self.progress = progress
-        #: called with the pool after a pool phase that did not stop
-        #: early, before teardown — the solver's hook for worker RSS
+        #: called with the pool after the pool phase, before
+        #: teardown — the solver's hook for worker RSS
         #: sampling; failures (a pool a fault killed has nothing left to
         #: sample) are swallowed: metrics must never fail a solve.
         self.drain_hook = drain_hook
@@ -228,18 +229,16 @@ class ShardSupervisor:
         todo = [i for i in range(len(self.shard_masks)) if i not in results]
         attempts: Dict[int, int] = {i: 1 for i in todo}
         fallback: List[int] = []
-        stopped = False  # any_solution early exit
 
         if self.pool_factory is None:
             # In-process mode (workers=1): every shard takes the serial
-            # phase, with the same journal appends, parent-side faults and
-            # early exit.
+            # phase, with the same journal appends and parent-side faults.
             fallback = todo
         elif todo:
             self._pool = self.pool_factory()
             try:
-                stopped = self._pool_phase(todo, attempts, results, fallback)
-                if not stopped and self.drain_hook is not None:
+                self._pool_phase(todo, attempts, results, fallback)
+                if self.drain_hook is not None:
                     try:
                         self.drain_hook(self._pool)
                     except Exception:  # pragma: no cover - metrics only
@@ -247,8 +246,7 @@ class ShardSupervisor:
             finally:
                 self._pool.terminate()
 
-        if not stopped:
-            self._serial_phase(fallback, results)
+        self._serial_phase(fallback, results)
 
         merged_solutions: List[int] = []
         checked = 0
@@ -307,8 +305,8 @@ class ShardSupervisor:
         attempts: Dict[int, int],
         results: Dict[int, ShardResult],
         fallback: List[int],
-    ) -> bool:
-        """Dispatch ``todo`` through the pool; returns True on early exit."""
+    ) -> None:
+        """Dispatch ``todo`` through the pool, retrying lost shards."""
         from ..core.transport import ShardLeaseRevoked
 
         policy = self.policy
@@ -363,8 +361,6 @@ class ShardSupervisor:
                         )
                         continue
                     self._complete(index, result, results)
-                    if self.any_solution and result[0]:
-                        return True
             if dead is None and policy.shard_deadline is not None:
                 now = time.monotonic()
                 expired = [
@@ -412,7 +408,6 @@ class ShardSupervisor:
                                 self.task, index, self.shard_masks[index]
                             )
                         ] = (index, time.monotonic())
-        return False
 
     def _triage(
         self,
@@ -464,8 +459,6 @@ class ShardSupervisor:
                 continue
             result = self.serial_runner(index, self.shard_masks[index])
             self._complete(index, result, results)
-            if self.any_solution and result[0]:
-                return
 
     # ------------------------------------------------------------------
     # completion bookkeeping

@@ -335,19 +335,16 @@ def main(argv: Optional[list] = None) -> int:
 
     args = parser.parse_args(argv)
     port = _resolve_port(args, parser)
-    # Request-level retry: a connection reset mid-request gets a fresh
-    # socket and a re-issued command.  Every op is idempotent server-side
-    # (solve is content-addressed; status/ping are reads), so a duplicate
-    # submission can only hit the cache, never double-solve.
+    # This loop is the one retry owner (the client it builds retries
+    # nothing, or the budgets would multiply): a refused connect or a
+    # connection reset mid-request gets a fresh socket and a re-issued
+    # command.  Every op is idempotent server-side (solve is
+    # content-addressed; status/ping are reads), so a duplicate submission
+    # can only hit the cache, never double-solve.
     attempt = 0
     while True:
         try:
-            with ServiceClient(
-                host=args.host,
-                port=port,
-                retries=args.retries,
-                retry_backoff=args.retry_backoff,
-            ) as client:
+            with ServiceClient(host=args.host, port=port, retries=0) as client:
                 if args.command == "solve":
                     return _cmd_solve(client, args)
                 if args.command == "status":
@@ -361,7 +358,10 @@ def main(argv: Optional[list] = None) -> int:
                 return 0
         except _RETRYABLE as exc:
             attempt += 1
-            if attempt > args.retries or args.command == "shutdown":
+            # A refusal means nothing was sent, so even shutdown may retry
+            # it; a reset after shutdown went out is the server leaving.
+            sent = not isinstance(exc, ConnectionRefusedError)
+            if attempt > args.retries or (sent and args.command == "shutdown"):
                 print(f"error: cannot reach the server: {exc}", file=sys.stderr)
                 return 1
             print(

@@ -15,11 +15,13 @@ length-prefixed, digest-checked frame format of :mod:`repro.core.netproto`:
    too).  Keyless daemons exist for loopback only — binding a
    non-loopback interface without a key is refused at startup;
 2. the coordinator sends ``attach`` — the solve's program digest in the
-   header, the pickled init arguments (program, shard layout, solver
-   flags, and the compiled Φ plan by value) in the body.  The daemon
-   re-derives the program digest from what it unpickled and refuses a
-   mismatch: a worker never computes against a program other than the
-   one it claims to serve, and never recompiles the coordinator's plan;
+   header, and in the body the pickled payload a pool worker's
+   initializer also receives (program, shard layout, solver flags, and
+   the compiled Φ plan by value).  The daemon re-derives the program
+   digest from what it unpickled and refuses a mismatch: a worker never
+   computes against a program other than the one it claims to serve,
+   and never recompiles the coordinator's plan.  A payload missing a
+   field or carrying an unknown one is refused too;
 3. each ``shard`` frame names ``(index, fixed_mask, attempt)``; the
    daemon sweeps it with the *same* shard sweep a pool worker runs and
    answers a ``result`` frame keyed by that mask and attempt, sending
@@ -241,20 +243,16 @@ class Session:
         self.heartbeat_interval = float(
             header.get("heartbeat") or self.heartbeat_interval
         )
-        # One guarded block from unpickle through field extraction and
-        # digest derivation: a payload that decodes but has the wrong
-        # shape must earn an 'error' frame just like one that does not
-        # decode at all, never a silently dead session thread.
+        # A payload that decodes but has the wrong shape must earn an
+        # 'error' frame just like one that does not decode at all, never
+        # a silently dead session thread.
         try:
             args = pickle.loads(body)
             if not isinstance(args, dict):
                 raise TypeError(
                     f"attach payload is {type(args).__name__}, expected dict"
                 )
-            program = args["program"]
-            base_mask = int(args["base_mask"])
-            low_positions = list(args["low_positions"])
-            actual = _program_digest(program)
+            actual = _program_digest(args["program"])
         except Exception as exc:
             self.fail(f"bad attach payload: {exc!r}")
             raise _SessionEnd from None
@@ -267,21 +265,15 @@ class Session:
             )
             raise _SessionEnd
 
-        fault_plan = args.get("fault_plan")
-        if fault_plan is not None and hasattr(fault_plan, "before_result"):
-            self.net_plan = fault_plan
-
-        self.sweep = parallel._worker_sweep(
-            program,
-            base_mask,
-            low_positions,
-            bool(args.get("emit_certificate")),
-            bool(args.get("any_solution")),
-            int(args.get("batch_size") or parallel.BATCH_SIZE),
-            fault_plan=fault_plan,
-            backend_selection=args.get("backend_selection"),
-            plan=args.get("plan"),
-        )
+        # The pool initializer's payload: a missing or unknown field is a
+        # TypeError, answered like any other malformed payload.
+        try:
+            self.sweep = parallel._worker_sweep(**args)
+        except TypeError as exc:
+            self.fail(f"bad attach payload: {exc!r}")
+            raise _SessionEnd from None
+        if hasattr(self.sweep.fault_plan, "before_result"):
+            self.net_plan = self.sweep.fault_plan
         self.send("attached", {"program": actual, "protocol": WORKER_PROTOCOL})
         self.log(f"attached to {actual}")
 

@@ -8,7 +8,7 @@ Four layers of property tests:
   candidate, on both backends;
 * every route — serial sweep, default ``solve_si``, in-process and pool
   sweeps — agrees with the literal reference in ``tests/oracle.py``;
-* whole solves — plain, certified, early-exit — produce reports (and
+* whole solves — plain and certified — produce reports (and
   certificate payloads) identical to the serial sweep, across worker
   counts and backends, with certificate entries in descending free-bit
   order.
@@ -75,7 +75,7 @@ def test_gray_walk_is_exhaustive_and_single_bit_stepped(positions):
     for mask in walk:
         assert mask & ~allowed == 0
     for previous, current in zip(walk, walk[1:]):
-        assert (previous ^ current).bit_count() == 1
+        assert bin(previous ^ current).count("1") == 1
 
 
 @given(
@@ -280,17 +280,6 @@ def test_certified_parallel_payload_is_byte_identical(program):
         assert canonical_dumps(report.certificate.to_payload()) == expected
         with using_backend("int"):
             _replay_solve(report.certificate, program)
-
-
-@settings(max_examples=10, deadline=None)
-@given(random_kbps())
-def test_any_solution_agrees_on_well_posedness(program):
-    serial = solve_si(program, parallel="never")
-    quick = solve_si_parallel(program, workers=1, any_solution=True)
-    assert quick.well_posed == serial.well_posed
-    for solution in quick.solutions:
-        assert any(solution == s for s in serial.solutions)
-    assert quick.candidates_checked <= serial.candidates_checked
 
 
 def _nested_program() -> Program:

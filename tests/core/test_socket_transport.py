@@ -123,6 +123,21 @@ class TestHeartbeatKnobs:
         assert heartbeat_interval() == 0.25
         assert heartbeat_timeout() == 3.5
 
+    @pytest.mark.parametrize("raw", ["-1", "0", "nan", "abc"])
+    @pytest.mark.parametrize(
+        "variable, read",
+        [
+            ("REPRO_SOCKET_HEARTBEAT", heartbeat_interval),
+            ("REPRO_SOCKET_HEARTBEAT_TIMEOUT", heartbeat_timeout),
+        ],
+    )
+    def test_bad_values_name_the_variable(self, monkeypatch, variable, read, raw):
+        """A value ``socket.settimeout`` would choke on in a link thread
+        (or that loses every link at once) is refused up front."""
+        monkeypatch.setenv(variable, raw)
+        with pytest.raises(ValueError, match=variable):
+            read()
+
 
 class TestSocketSolve:
     def test_matches_serial_with_two_daemons(
@@ -272,24 +287,42 @@ class TestSessionHygiene:
         finally:
             sock.close()
 
-    def test_malformed_attach_payload_earns_error_frame(self, spawn_worker):
+    def test_malformed_attach_payload_earns_error_frame(self, kbp, spawn_worker):
         """A payload of the wrong shape fails fast with an 'error' frame,
-        not a silently dead session the coordinator times out on."""
+        not a silently dead session the coordinator times out on — also
+        one for the right program that carries a field no sweep takes."""
+        from repro.certificates.canonical import program_digest
+
+        unknown_field = dict(
+            program=kbp,
+            base_mask=kbp.init.mask,
+            low_positions=[1, 2],
+            emit_certificate=False,
+            batch_size=8,
+            plan=None,
+            fault_plan=None,
+            backend_selection=None,
+            unknown=1,
+        )
         _, addr = spawn_worker()
-        sock, rfile, wfile = self._connect(addr)
-        try:
-            recv_frame(rfile)  # hello (keyless: no handshake to answer)
-            send_frame(
-                wfile,
-                "attach",
-                {"program": "sha256:feedbeef", "protocol": WORKER_PROTOCOL},
-                pickle.dumps(["not", "a", "dict"]),
-            )
-            header, _body, _n = recv_frame(rfile)
-            assert header["type"] == "error"
-            assert "bad attach payload" in header["message"]
-        finally:
-            sock.close()
+        for claimed, payload in (
+            ("sha256:feedbeef", ["not", "a", "dict"]),
+            (program_digest(kbp), unknown_field),
+        ):
+            sock, rfile, wfile = self._connect(addr)
+            try:
+                recv_frame(rfile)  # hello (keyless: no handshake to answer)
+                send_frame(
+                    wfile,
+                    "attach",
+                    {"program": claimed, "protocol": WORKER_PROTOCOL},
+                    pickle.dumps(payload),
+                )
+                header, _body, _n = recv_frame(rfile)
+                assert header["type"] == "error"
+                assert "bad attach payload" in header["message"]
+            finally:
+                sock.close()
 
 
 class TestTransportInternals:
@@ -342,8 +375,9 @@ class TestTransportInternals:
             queued.result(timeout=1)
 
     def test_coordinator_refuses_an_older_protocol(self):
-        """A daemon speaking repro-worker/2, which still expects the
-        need-plan round trip, is refused at hello."""
+        """A daemon speaking repro-worker/3, which still accepts an
+        attach payload with fields the sweep no longer takes, is refused
+        at hello."""
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.bind(("127.0.0.1", 0))
         server.listen(1)
@@ -353,7 +387,7 @@ class TestTransportInternals:
             conn, _ = server.accept()
             with conn, conn.makefile("wb") as wfile:
                 send_frame(
-                    wfile, "hello", {"protocol": "repro-worker/2", "auth": "none"}
+                    wfile, "hello", {"protocol": "repro-worker/3", "auth": "none"}
                 )
                 conn.recv(1)  # hold the link until the coordinator hangs up
 
@@ -368,7 +402,7 @@ class TestTransportInternals:
             server.close()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert WORKER_PROTOCOL == "repro-worker/3"
+        assert WORKER_PROTOCOL == "repro-worker/4"
 
     def test_revoked_lease_names_the_shard(self):
         transport = self._bare_transport()

@@ -321,13 +321,6 @@ def test_serial_parallel_resumed_identity(kbp, backend, tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_checkpoint_needs_complete_sweep(kbp, tmp_path):
-    with pytest.raises(ValueError, match="complete sweep"):
-        solve_si_parallel(
-            kbp, workers=2, any_solution=True, checkpoint=tmp_path / "j"
-        )
-
-
 def test_checkpoint_rejected_for_standard_programs(tmp_path):
     from ..conftest import make_counter_program
 

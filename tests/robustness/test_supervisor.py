@@ -15,6 +15,7 @@ from repro.robustness import (
     FaultPolicy,
     SolverWorkerError,
 )
+from repro.robustness.supervisor import BACKOFF_BASE, BACKOFF_CAP, BACKOFF_FACTOR
 
 
 class TestFaultPolicy:
@@ -29,14 +30,14 @@ class TestFaultPolicy:
         assert off.max_retries == 0
 
     def test_backoff_schedule(self):
-        policy = FaultPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_cap=0.3
-        )
+        assert (BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_CAP) == (0.05, 2.0, 2.0)
+        policy = FaultPolicy()
         assert policy.backoff(1) == 0.0  # first dispatch is immediate
-        assert policy.backoff(2) == pytest.approx(0.1)
-        assert policy.backoff(3) == pytest.approx(0.2)
-        assert policy.backoff(4) == pytest.approx(0.3)  # capped
-        assert policy.backoff(9) == pytest.approx(0.3)
+        assert policy.backoff(2) == pytest.approx(0.05)
+        assert policy.backoff(3) == pytest.approx(0.1)
+        assert policy.backoff(7) == pytest.approx(1.6)
+        assert policy.backoff(8) == pytest.approx(2.0)  # capped
+        assert policy.backoff(20) == pytest.approx(2.0)
 
 
 class TestFaultLog:

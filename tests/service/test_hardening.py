@@ -165,6 +165,31 @@ class TestClientRetry:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["event"] == "pong"
 
+    @pytest.mark.parametrize("command", ["status", "shutdown"])
+    def test_cli_is_the_only_retry_owner(self, monkeypatch, capsys, command):
+        """``--retries 3`` against a refused port connects 4 times: the
+        CLI's budget is not multiplied by a client retrying inside it, and
+        a refused ``shutdown``, which sent nothing, is retried too."""
+        attempts = []
+        connect = socket.create_connection
+
+        def counting_connect(*args, **kwargs):
+            attempts.append(args[0])
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
+        code = client_mod.main(
+            [
+                "--port", str(free_port()),
+                "--retries", "3",
+                "--retry-backoff", "0",
+                command,
+            ]
+        )
+        assert code == 1
+        assert len(attempts) == 4
+        assert "cannot reach the server" in capsys.readouterr().err
+
     def test_retry_flags_have_defaults(self, server, capsys):
         assert client_mod.main(["--port", str(server.port), "ping"]) == 0
         assert json.loads(capsys.readouterr().out)["event"] == "pong"
