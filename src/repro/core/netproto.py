@@ -1,28 +1,30 @@
-"""The length-prefixed, digest-checked frame protocol shared by network code.
+"""The digest-checked frame protocol shared by network code.
 
 One wire format serves both sides of the distributed story: the shard
 worker protocol (:mod:`repro.worker` / ``SocketTransport``) frames every
-message through here, and the JSONL certificate service reuses the same
-*limits* for its line framing, so a stalled or unbounded peer is cut off
-by the same two constants everywhere.
+message here, and the certificate service (:mod:`repro.service`) every
+reply (its requests are bare JSON lines under the same line cap).  A
+frame is::
 
-A frame is::
+    header JSON line (ascii, sorted keys, newline-terminated) | body bytes
 
-    u32 header length (big-endian) | header JSON (ascii) | body bytes
-
-where the header always carries ``type``, ``body`` (the body length) and,
-for non-empty bodies, ``sha256`` — the hex digest of the body bytes.  The
-receiver re-hashes what it actually read; a mismatch raises
-:class:`FrameError` rather than handing corrupt bytes to ``pickle``.  The
-header length is capped at :data:`MAX_LINE_BYTES` (the same cap the
-service applies to a request line) and the body at
+The header always names an ``event``.  When a body follows, the header
+also carries ``bytes`` (the body length) and ``digest`` (the sha256 hex
+of the body); exactly that many raw bytes follow the newline, and the
+receiver re-hashes what it actually read, so a mismatch raises
+:class:`FrameError` rather than handing corrupt bytes to ``pickle`` or
+to a certificate parser.  Bodies ride outside JSON: a megabyte
+certificate is never escaped or split across lines.  The header line is
+capped at :data:`MAX_LINE_BYTES`, newline included (the same cap the
+service applies to a request line), and the body at
 :data:`MAX_FRAME_BYTES`, so no peer can make a reader allocate without
 bound.
 
 The functions below work on blocking file-like objects (``socket
 .makefile``); deadlines are the caller's business via ``settimeout`` —
 :data:`READ_DEADLINE` is the shared default for "how long may a peer go
-silent before the connection is presumed dead".
+silent before the connection is presumed dead".  The asyncio server
+writes through :func:`encode_header` directly.
 
 Trust model: the digest protects *integrity*, never *authenticity* — a
 frame's sha256 says the bytes survived the wire, not that the peer is
@@ -46,11 +48,11 @@ import ipaddress
 import json
 import os
 import secrets
-import struct
 from typing import Any, Dict, Optional, Tuple
 
-#: Cap on a JSONL request line *and* a frame header.  Anything legitimate
-#: is a few hundred bytes; past this the peer is broken or hostile.
+#: Cap on a request line *and* a frame header line, newline included.
+#: Anything legitimate is a few hundred bytes; past this the peer is
+#: broken or hostile.
 MAX_LINE_BYTES = 64 * 1024
 
 #: Cap on a frame body (attach payloads, shard results).  Far above any real
@@ -66,8 +68,9 @@ READ_DEADLINE = 600.0
 #: mandatory hello/auth handshake ahead of ``attach``; /3 carries the Φ
 #: plan inside the ``attach`` payload and drops the ``need-plan``/``plan``
 #: exchange; /4's ``attach`` payload is exactly the pool initializer's,
-#: and a daemon refuses one with a missing or unknown field.
-WORKER_PROTOCOL = "repro-worker/4"
+#: and a daemon refuses one with a missing or unknown field; /5 trades
+#: the u32 length prefix for the service's JSON header line.
+WORKER_PROTOCOL = "repro-worker/5"
 
 #: Shared-secret knob for the worker protocol: both the daemon and the
 #: coordinator read it (the daemon also takes ``--key-file``).  Any
@@ -78,8 +81,6 @@ AUTH_KEY_ENV_VAR = "REPRO_WORKER_KEY"
 #: Domain separation for the worker-protocol HMAC, so a digest produced
 #: here can never double as anything else keyed by the same secret.
 _AUTH_CONTEXT = b"repro-worker-hmac-v1:"
-
-_LEN = struct.Struct("!I")
 
 
 class FrameError(Exception):
@@ -139,57 +140,37 @@ def is_loopback_host(host: str) -> bool:
         return False
 
 
-def _read_exact(rfile, count: int) -> bytes:
-    """Read exactly ``count`` bytes or raise :class:`FrameError`.
-
-    A clean EOF *before any byte* raises ``FrameError("connection
-    closed")`` so callers can distinguish an orderly hangup from a frame
-    torn mid-transfer.  So does a link file closed under the reader, which
-    the file reports as ``ValueError``.
-    """
-    chunks = []
-    remaining = count
-    while remaining:
-        try:
-            chunk = rfile.read(remaining)
-        except ValueError:
-            raise FrameError("connection closed") from None
-        if not chunk:
-            if remaining == count:
-                raise FrameError("connection closed")
-            raise FrameError(
-                f"frame torn mid-transfer: expected {count} bytes, "
-                f"got {count - remaining}"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def encode_frame(
-    frame_type: str, meta: Optional[Dict[str, Any]] = None, body: bytes = b""
+def encode_header(
+    event: str, meta: Optional[Dict[str, Any]] = None, body: bytes = b""
 ) -> bytes:
-    """One frame as bytes: length-prefixed header JSON plus raw body."""
-    header: Dict[str, Any] = {"type": frame_type, "body": len(body)}
+    """The header line that announces ``body`` (no ``bytes``/``digest`` if empty).
+
+    A ``digest`` already in ``meta`` is taken as the body's sha256, so a
+    caller that holds one (the certificate cache names every object by
+    it) does not hash the body twice; the receiver re-hashes either way.
+    """
+    header: Dict[str, Any] = {"event": event}
     if meta:
         header.update(meta)
     if body:
-        header["sha256"] = hashlib.sha256(body).hexdigest()
-    blob = json.dumps(header, sort_keys=True).encode("ascii")
-    if len(blob) > MAX_LINE_BYTES:
+        if len(body) > MAX_FRAME_BYTES:
+            raise FrameError(
+                f"frame body is {len(body)} bytes; the cap is {MAX_FRAME_BYTES}"
+            )
+        header["bytes"] = len(body)
+        if "digest" not in header:
+            header["digest"] = hashlib.sha256(body).hexdigest()
+    line = (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
+    if len(line) > MAX_LINE_BYTES:
         raise FrameError(
-            f"frame header is {len(blob)} bytes; the cap is {MAX_LINE_BYTES}"
+            f"frame header is {len(line)} bytes; the cap is {MAX_LINE_BYTES}"
         )
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame body is {len(body)} bytes; the cap is {MAX_FRAME_BYTES}"
-        )
-    return _LEN.pack(len(blob)) + blob + body
+    return line
 
 
 def send_frame(
     wfile,
-    frame_type: str,
+    event: str,
     meta: Optional[Dict[str, Any]] = None,
     body: bytes = b"",
 ) -> int:
@@ -197,46 +178,75 @@ def send_frame(
 
     A closed link file raises ``FrameError("connection closed")``.
     """
-    data = encode_frame(frame_type, meta, body)
+    line = encode_header(event, meta, body)
     try:
-        wfile.write(data)
+        wfile.write(line)
+        if body:
+            wfile.write(body)
         wfile.flush()
     except ValueError:
         raise FrameError("connection closed") from None
-    return len(data)
+    return len(line) + len(body)
 
 
 def recv_frame(rfile) -> Tuple[Dict[str, Any], bytes, int]:
     """Read one frame; returns ``(header, body, bytes_read)``.
 
-    Raises :class:`FrameError` on EOF, torn transfer, oversized header or
-    body, malformed header JSON, or a body whose sha256 does not match the
-    advertised digest (a corrupt frame must never reach ``pickle``).
+    Raises :class:`FrameError` on a clean EOF or a closed link file
+    (both "connection closed"), a first byte other than ``{`` (a peer
+    speaking another framing — refused at once, not after a deadline),
+    an unterminated or over-cap header line, malformed header JSON, a
+    header without ``event``, a negative or over-cap ``bytes``, a body
+    torn mid-transfer, or a body whose sha256 is not the header's
+    ``digest`` (a corrupt frame must never reach ``pickle``).
     """
-    raw_len = _read_exact(rfile, _LEN.size)
-    (header_len,) = _LEN.unpack(raw_len)
-    if header_len > MAX_LINE_BYTES:
+    try:
+        line = rfile.read(1)
+        if line == b"{":
+            line += rfile.readline(MAX_LINE_BYTES - 1)
+    except ValueError:
+        raise FrameError("connection closed") from None
+    if not line:
+        raise FrameError("connection closed")
+    if not line.startswith(b"{"):
         raise FrameError(
-            f"frame header claims {header_len} bytes; the cap is "
-            f"{MAX_LINE_BYTES}"
+            f"frame starts with {line!r}, not a JSON header line: the peer "
+            "speaks another framing (repro-worker/4 and older put a u32 "
+            "length prefix first)"
+        )
+    if not line.endswith(b"\n"):
+        if len(line) >= MAX_LINE_BYTES:
+            raise FrameError(f"frame header line exceeds {MAX_LINE_BYTES} bytes")
+        raise FrameError(
+            f"frame torn mid-transfer: header line ends without a newline "
+            f"after {len(line)} bytes"
         )
     try:
-        header = json.loads(_read_exact(rfile, header_len))
-        if not isinstance(header, dict) or "type" not in header:
-            raise ValueError("header is not an object with a 'type'")
-        body_len = int(header.get("body", 0))
-    except (ValueError, UnicodeDecodeError) as exc:
+        header = json.loads(line)
+        if not isinstance(header, dict) or "event" not in header:
+            raise ValueError("header is not an object with an 'event'")
+        size = int(header.get("bytes", 0))
+    except (TypeError, ValueError) as exc:
         raise FrameError(f"malformed frame header: {exc}") from None
-    if body_len < 0 or body_len > MAX_FRAME_BYTES:
+    if size < 0 or size > MAX_FRAME_BYTES:
         raise FrameError(
-            f"frame body claims {body_len} bytes; the cap is {MAX_FRAME_BYTES}"
+            f"frame body claims {size} bytes; the cap is {MAX_FRAME_BYTES}"
         )
-    body = _read_exact(rfile, body_len) if body_len else b""
-    if body:
-        digest = hashlib.sha256(body).hexdigest()
-        if digest != header.get("sha256"):
-            raise FrameError(
-                f"corrupt frame: body hashes to {digest[:16]}…, header "
-                f"advertised {str(header.get('sha256'))[:16]}…"
-            )
-    return header, body, _LEN.size + header_len + body_len
+    if not size:
+        return header, b"", len(line)
+    try:
+        body = rfile.read(size)
+    except ValueError:
+        raise FrameError("connection closed") from None
+    if len(body) != size:
+        raise FrameError(
+            f"frame torn mid-transfer: expected {size} body bytes, "
+            f"got {len(body)}"
+        )
+    digest = hashlib.sha256(body).hexdigest()
+    if digest != header.get("digest"):
+        raise FrameError(
+            f"corrupt frame: body hashes to {digest[:16]}…, header "
+            f"advertised {str(header.get('digest'))[:16]}…"
+        )
+    return header, body, len(line) + size

@@ -737,14 +737,7 @@ def solve_si_parallel(
         if addresses:
             try:
                 return SocketTransport(
-                    addresses,
-                    program_digest=header["program"],
-                    attach_args=payload,
-                    stats=stats,
-                    log=shared_log,
-                    net_plan=fault_plan
-                    if hasattr(fault_plan, "refuses_connect")
-                    else None,
+                    addresses, payload, stats=stats, log=shared_log
                 )
             except SocketTransportError as exc:
                 shared_log.record(

@@ -10,7 +10,7 @@ the same interface:
   shard's payload is two pickled ints;
 * :class:`SocketTransport` — the TCP worker protocol (DESIGN.md §15):
   every address in ``workers`` names a ``python -m repro.worker`` daemon,
-  shards travel as length-prefixed digest-checked frames
+  shards travel as header-line, digest-checked frames
   (:mod:`repro.core.netproto`), workers prove liveness with heartbeats,
   and a worker that vanishes mid-shard surrenders its lease back to the
   supervisor as :class:`ShardLeaseRevoked` — the supervisor re-dispatches
@@ -29,7 +29,6 @@ the report instead of silent.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import pickle
@@ -371,9 +370,11 @@ class SocketTransport(ShardTransport):
     """Shards over TCP to ``python -m repro.worker`` daemons.
 
     Construction connects to and *attaches* every address, once: the
-    worker receives the solve's program digest plus the attach payload
-    (program, shard layout, solver flags and the compiled Φ plan, by
-    value).  A worker that fails to connect or attach is skipped (a
+    worker receives the program digest of ``attach_args["program"]``
+    plus the attach payload (program, shard layout, solver flags, fault
+    plan and the compiled Φ plan, by value).  The payload's fault plan
+    also decides which connects are refused (``connrefused``).  A worker
+    that fails to connect or attach is skipped (a
     ``worker-unreachable`` incident); zero attached workers raises
     :class:`SocketTransportError` so the caller can degrade to a local
     pool.
@@ -396,22 +397,22 @@ class SocketTransport(ShardTransport):
     def __init__(
         self,
         addresses: Sequence[str],
-        *,
-        program_digest: str,
         attach_args: Dict[str, Any],
+        *,
         stats: Optional[DispatchStats] = None,
         log: Optional[Any] = None,
-        net_plan: Optional[Any] = None,
     ):
+        from ..certificates.canonical import program_digest
+
         if not addresses:
             raise SocketTransportError("no worker addresses given")
         for address in addresses:
             parse_address(address)  # fail fast on syntax, not mid-solve
         self.addresses = list(addresses)
-        self.program_digest = program_digest
+        self.program_digest = program_digest(attach_args["program"])
+        self.fault_plan = attach_args.get("fault_plan")
         self.stats = stats
         self.log = log
-        self.net_plan = net_plan
         self.heartbeat = heartbeat_interval()
         self.timeout = heartbeat_timeout()
         #: shared secret for the mutual HMAC handshake (AUTH_KEY_ENV_VAR);
@@ -472,7 +473,7 @@ class SocketTransport(ShardTransport):
     def _open_link(self, link: _WorkerLink) -> None:
         """Connect and attach one worker, once (no retry, no backoff)."""
         try:
-            if self.net_plan is not None and self.net_plan.refuses_connect(
+            if self.fault_plan is not None and self.fault_plan.refuses_connect(
                 link.index
             ):
                 raise ConnectionRefusedError("injected conn-refused (fault plan)")
@@ -507,8 +508,8 @@ class SocketTransport(ShardTransport):
         """
         header, _body, nbytes = recv_frame(rfile)
         self._count_received(nbytes)
-        if header.get("type") != "hello":
-            raise FrameError(f"expected 'hello', got {header.get('type')!r}")
+        if header["event"] != "hello":
+            raise FrameError(f"expected 'hello', got {header['event']!r}")
         if header.get("protocol") != WORKER_PROTOCOL:
             raise FrameError(
                 f"protocol mismatch: worker {link.address} speaks "
@@ -557,15 +558,13 @@ class SocketTransport(ShardTransport):
         )
         header, _body, nbytes = recv_frame(rfile)
         self._count_received(nbytes)
-        if header.get("type") == "error":
+        if header["event"] == "error":
             raise AuthError(
                 f"worker {link.address} refused the handshake: "
                 f"{header.get('message')}"
             )
-        if header.get("type") != "welcome":
-            raise FrameError(
-                f"expected 'welcome', got {header.get('type')!r}"
-            )
+        if header["event"] != "welcome":
+            raise FrameError(f"expected 'welcome', got {header['event']!r}")
         if not check_auth_digest(self.auth_key, counter, header.get("digest")):
             raise AuthError(
                 f"worker {link.address} failed the counter-challenge — "
@@ -591,10 +590,10 @@ class SocketTransport(ShardTransport):
         )
         header, _body, nbytes = recv_frame(rfile)
         self._count_received(nbytes)
-        if header["type"] == "error":
+        if header["event"] == "error":
             raise FrameError(f"worker refused attach: {header.get('message')}")
-        if header["type"] != "attached":
-            raise FrameError(f"expected 'attached', got {header['type']!r}")
+        if header["event"] != "attached":
+            raise FrameError(f"expected 'attached', got {header['event']!r}")
         if header.get("program") != self.program_digest:
             raise FrameError(
                 f"worker attached to program {header.get('program')!r}; "
@@ -678,7 +677,7 @@ class SocketTransport(ShardTransport):
                 self._count_sent(send_frame(link.wfile, "rss"))
                 header, _body, nbytes = recv_frame(link.rfile)
                 self._count_received(nbytes)
-                if header.get("type") == "rss":
+                if header["event"] == "rss":
                     peak = max(peak, int(header.get("kb", 0)))
             except (OSError, FrameError):
                 continue
@@ -750,7 +749,7 @@ class SocketTransport(ShardTransport):
             except (OSError, FrameError) as exc:
                 raise _LinkBroken(str(exc)) from exc
             self._count_received(nbytes)
-            kind = header.get("type")
+            kind = header["event"]
             if kind == "heartbeat":
                 continue
             if kind == "error":
@@ -761,7 +760,7 @@ class SocketTransport(ShardTransport):
             # The frame layer has already verified body against this
             # digest, so digest equality *is* byte equality — without
             # keeping a second copy of every result body around.
-            digest = header.get("sha256") or hashlib.sha256(body).hexdigest()
+            digest = header.get("digest")
             with self._lock:
                 seen = self._seen.get(key)
                 if seen is None:

@@ -10,10 +10,11 @@ Three cooperating pieces (DESIGN.md §10):
   shards, so a killed solve resumes from disk and the merged certificate
   is byte-identical to an uninterrupted run.
 * :mod:`faults` — a deterministic, seeded fault-injection layer (worker
-  crash, shard hang, delayed result, parent kill, torn journal record)
-  driven by the ``REPRO_FAULT_PLAN`` grammar; the chaos suite uses it to
-  assert that solutions, candidate counts, and certificate digests are
-  invariant under every injected fault schedule.
+  crash, shard hang, delayed result, parent kill, torn journal record,
+  and the socket faults around a worker daemon's connect and result
+  frames) driven by the ``REPRO_FAULT_PLAN`` grammar; the chaos suite
+  uses it to assert that solutions, candidate counts, and certificate
+  digests are invariant under every injected fault schedule.
 """
 
 from .checkpoint import (
@@ -28,7 +29,6 @@ from .faults import (
     FaultClause,
     FaultPlan,
     FaultPlanError,
-    NetworkFaultPlan,
     SimulatedKill,
 )
 from .supervisor import (
@@ -50,7 +50,6 @@ __all__ = [
     "FaultPolicy",
     "JOURNAL_FORMAT",
     "JournalError",
-    "NetworkFaultPlan",
     "ShardJournal",
     "ShardRecord",
     "ShardSupervisor",

@@ -8,8 +8,8 @@ from two decisions:
 
 * faults target **shard indices** (positions in the shard-mask list), not
   workers or wall-clock times, so which sweep gets hit does not depend on
-  scheduling; ``chaos`` clauses draw their target indices from a seeded
-  PRNG once the shard count is known (:meth:`FaultPlan.bind`);
+  scheduling; ``chaos``/``netchaos`` clauses draw their targets from a
+  seeded PRNG once the shard count is known (:meth:`FaultPlan.bind`);
 * each clause fires at most ``times`` times, tracked by marker files under
   a scratch directory (created with ``O_CREAT|O_EXCL``, so the count is
   exact even across re-spawned worker processes that share nothing but the
@@ -29,11 +29,30 @@ Plan grammar (the ``REPRO_FAULT_PLAN`` environment variable)::
                             3rd journal record (a torn tail)
     chaos@7:crash=2:hang=1:seconds=0.5
                             seed 7 picks 2 crash shards and 1 hang shard
+    connrefused@0           SocketTransport's connect to worker 0 is
+                            refused once
+    disconnect@2            the worker daemon drops the connection halfway
+                            through writing shard 2's result frame
+    stall@1:seconds=30      the daemon goes silent (no heartbeats, no
+                            result) for 30 s before delivering shard 1
+                            (default 20 s)
+    dupresult@3             shard 3's result frame is sent twice
+    corruptframe@2          shard 2's result body is sent with one bit
+                            flipped under an honest digest
+    netchaos@7:refused=1:disconnect=1:stall=1:dup=1:corrupt=1:seconds=20
+                            seed 7 picks targets for each count
 
-``crash``/``hang``/``delay`` run inside worker processes; ``kill`` and
-``torn`` are parent-side faults that simulate the whole solve being killed
-(they raise :class:`SimulatedKill`, which callers treat like SIGKILL — the
-checkpoint journal is what survives).
+``crash``/``hang``/``delay`` run inside worker processes — a worker
+daemon runs them inside its sweep too, so ``crash@k`` kills the whole
+daemon mid-shard; ``kill`` and ``torn`` are parent-side faults that
+simulate the whole solve being killed (they raise :class:`SimulatedKill`,
+which callers treat like SIGKILL — the checkpoint journal is what
+survives).  ``connrefused`` fires in the coordinator's ``SocketTransport``
+and targets a *worker index*; ``disconnect``/``stall``/``dupresult``/
+``corruptframe`` fire inside the worker daemon around result delivery.
+The scratch path travels inside the pickled plan, so a localhost daemon
+shares the coordinator's one-shot accounting (cross-host chaos would
+need a shared scratch mount).
 """
 
 from __future__ import annotations
@@ -51,17 +70,13 @@ FAULT_PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 #: Worker exit status used by ``crash`` clauses (visible in pool logs).
 CRASH_EXIT_STATUS = 66
 
-_WORKER_KINDS = ("crash", "hang", "delay")
-_PARENT_KINDS = ("kill", "torn")
-_KINDS = _WORKER_KINDS + _PARENT_KINDS + ("chaos",)
-
-#: Network fault kinds (NetworkFaultPlan): ``connrefused`` fires client-side
-#: in ``SocketTransport`` (targets a *worker index*); the rest fire inside
-#: the worker daemon around result delivery (targeting shard indices), and
-#: ``netchaos`` is the seeded picker over all of them.
-_NET_CLIENT_KINDS = ("connrefused",)
+#: Network faults the worker daemon applies around result delivery.
 _NET_WORKER_KINDS = ("disconnect", "stall", "dupresult", "corruptframe")
-_NET_KINDS = _NET_CLIENT_KINDS + _NET_WORKER_KINDS + ("netchaos",)
+_KINDS = (
+    ("crash", "hang", "delay", "kill", "torn", "chaos", "connrefused")
+    + _NET_WORKER_KINDS
+    + ("netchaos",)
+)
 
 
 class FaultPlanError(ValueError):
@@ -87,8 +102,9 @@ class SimulatedKill(BaseException):
 class FaultClause:
     """One injection: a kind, a target shard (or count), and parameters.
 
-    ``crashes``/``hangs`` are only meaningful on ``chaos`` clauses, whose
-    ``target`` is the PRNG seed rather than a shard index.
+    ``crashes``/``hangs`` are only meaningful on ``chaos`` clauses and
+    ``refused`` … ``corrupts`` only on ``netchaos`` ones, whose ``target``
+    is the PRNG seed rather than a shard index.
     """
 
     kind: str
@@ -114,20 +130,18 @@ class FaultClause:
         return f"{self.kind}@{self.target}{suffix}"
 
 
-def _parse_clause(
-    text: str, kinds: Tuple[str, ...] = _KINDS
-) -> Tuple[str, int, Dict[str, float]]:
+def _parse_clause(text: str) -> Tuple[str, int, Dict[str, float]]:
     head, _, tail = text.partition(":")
     kind, at, target = head.partition("@")
     if not at:
         raise FaultPlanError(
             f"fault clause {text!r} has no '@': expected "
-            f"'<kind>@<target>[:k=v...]' with kind one of {', '.join(kinds)}"
+            f"'<kind>@<target>[:k=v...]' with kind one of {', '.join(_KINDS)}"
         )
-    if kind not in kinds:
+    if kind not in _KINDS:
         raise FaultPlanError(
             f"fault clause {text!r} names unknown fault kind {kind!r}; "
-            f"valid kinds are {', '.join(kinds)}"
+            f"valid kinds are {', '.join(_KINDS)}"
         )
     try:
         index = int(target)
@@ -152,6 +166,34 @@ def _parse_clause(
     return kind, index, params
 
 
+def _build_clause(kind: str, target: int, params: Dict[str, float]) -> FaultClause:
+    if kind == "chaos":
+        return FaultClause(
+            kind="chaos",
+            target=target,  # the seed
+            seconds=params.get("seconds", 0.5),
+            crashes=int(params.get("crash", 1)),
+            hangs=int(params.get("hang", 0)),
+        )
+    if kind == "netchaos":
+        return FaultClause(
+            kind="netchaos",
+            target=target,  # the seed
+            seconds=params.get("seconds", 20.0),
+            refused=int(params.get("refused", 0)),
+            disconnects=int(params.get("disconnect", 0)),
+            stalls=int(params.get("stall", 0)),
+            dups=int(params.get("dup", 0)),
+            corrupts=int(params.get("corrupt", 0)),
+        )
+    seconds = params.get("seconds", 0.0)
+    if kind == "stall" and not seconds:
+        seconds = 20.0
+    return FaultClause(
+        kind=kind, target=target, times=int(params.get("times", 1)), seconds=seconds
+    )
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A parsed fault schedule plus the scratch dir tracking fired clauses."""
@@ -159,31 +201,9 @@ class FaultPlan:
     clauses: Tuple[FaultClause, ...]
     scratch: str = field(default_factory=lambda: tempfile.mkdtemp(prefix="repro-faults-"))
 
-    #: valid clause kinds for this plan class (subclasses extend)
-    KINDS = _KINDS
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-
-    @classmethod
-    def _build_clause(
-        cls, kind: str, target: int, params: Dict[str, float]
-    ) -> FaultClause:
-        if kind == "chaos":
-            return FaultClause(
-                kind="chaos",
-                target=target,  # the seed
-                seconds=params.get("seconds", 0.5),
-                crashes=int(params.get("crash", 1)),
-                hangs=int(params.get("hang", 0)),
-            )
-        return FaultClause(
-            kind=kind,
-            target=target,
-            times=int(params.get("times", 1)),
-            seconds=params.get("seconds", 0.0),
-        )
 
     @classmethod
     def parse(cls, text: str, scratch: Optional[str] = None) -> "FaultPlan":
@@ -192,50 +212,50 @@ class FaultPlan:
             raw = raw.strip()
             if not raw:
                 continue
-            kind, target, params = _parse_clause(raw, cls.KINDS)
-            clauses.append(cls._build_clause(kind, target, params))
+            clauses.append(_build_clause(*_parse_clause(raw)))
         if scratch is None:
             return cls(clauses=tuple(clauses))
         return cls(clauses=tuple(clauses), scratch=scratch)
 
     @classmethod
     def from_env(cls) -> Optional["FaultPlan"]:
-        """The plan named by ``REPRO_FAULT_PLAN``, or ``None`` when unset.
-
-        A plan that uses any network fault kind parses as
-        :class:`NetworkFaultPlan` so socket solves can inject network
-        faults straight from the environment.
-        """
+        """The plan named by ``REPRO_FAULT_PLAN``, or ``None`` when unset."""
         raw = os.environ.get(FAULT_PLAN_ENV_VAR)
-        if not raw:
-            return None
-        if cls is FaultPlan and any(
-            clause.strip().partition("@")[0] in _NET_KINDS
-            for clause in raw.split(";")
-        ):
-            return NetworkFaultPlan.parse(raw)
-        return cls.parse(raw)
+        return cls.parse(raw) if raw else None
 
     def bind(self, shard_count: int, worker_count: int = 1) -> "FaultPlan":
-        """Resolve seeded ``chaos`` clauses into concrete shard targets.
+        """Resolve seeded ``chaos``/``netchaos`` clauses into concrete targets.
 
-        Deterministic: the clause's seed and the shard count fully determine
-        which indices are hit, independent of scheduling.  ``worker_count``
-        is unused here; :class:`NetworkFaultPlan` draws connection-level
-        targets from it.
+        Deterministic: each clause's own seeded PRNG draws distinct shard
+        indices for its shard-level kinds, then worker indices for
+        ``connrefused``, so the incident set is a pure function of
+        (seed, shard_count, worker_count), independent of scheduling.
         """
         bound = []
         for clause in self.clauses:
-            if clause.kind != "chaos":
+            if clause.kind == "chaos":
+                kinds = ["crash"] * clause.crashes + ["hang"] * clause.hangs
+            elif clause.kind == "netchaos":
+                kinds = (
+                    ["disconnect"] * clause.disconnects
+                    + ["stall"] * clause.stalls
+                    + ["dupresult"] * clause.dups
+                    + ["corruptframe"] * clause.corrupts
+                )
+            else:
                 bound.append(clause)
                 continue
             rng = random.Random(clause.target)
-            want = min(clause.crashes + clause.hangs, shard_count)
-            picks = rng.sample(range(shard_count), want)
-            for i, index in enumerate(picks):
-                kind = "crash" if i < clause.crashes else "hang"
+            picks = rng.sample(range(shard_count), min(len(kinds), shard_count))
+            for kind, index in zip(kinds, picks):
                 bound.append(
                     FaultClause(kind=kind, target=index, seconds=clause.seconds)
+                )
+            for _ in range(min(clause.refused, worker_count)):
+                bound.append(
+                    FaultClause(
+                        kind="connrefused", target=rng.randrange(worker_count)
+                    )
                 )
         return replace(self, clauses=tuple(bound))
 
@@ -313,97 +333,6 @@ class FaultPlan:
                     "journaled shards"
                 )
 
-
-@dataclass(frozen=True)
-class NetworkFaultPlan(FaultPlan):
-    """The PR-4 fault grammar extended with network failure modes.
-
-    All base kinds keep working (a worker daemon runs ``crash``/``hang``/
-    ``delay`` clauses inside its sweep exactly like a pool worker, so
-    ``crash@k`` kills the whole daemon mid-shard).  The new kinds::
-
-        connrefused@0            SocketTransport's connect to worker 0 is
-                                 refused once (client-side; retries/backoff
-                                 then reach the real daemon)
-        disconnect@2             the daemon drops the connection halfway
-                                 through writing shard 2's result frame
-        stall@1:seconds=30       the daemon goes silent (no heartbeats, no
-                                 result) for 30 s before delivering shard 1
-        dupresult@3              shard 3's result frame is sent twice
-        corruptframe@2           shard 2's result body is sent with one bit
-                                 flipped (the frame digest then fails)
-        netchaos@7:refused=1:disconnect=1:stall=1:dup=1:corrupt=1:seconds=20
-                                 seed 7 deterministically picks targets for
-                                 each count once shard/worker counts are
-                                 known (:meth:`bind`)
-
-    Like every clause, each fires at most ``times`` times via the marker
-    files in ``scratch`` — the scratch path travels inside the pickled
-    plan, so a localhost daemon shares the same one-shot accounting as the
-    coordinator.  (Cross-host chaos would need a shared scratch mount; the
-    chaos suite runs on localhost.)
-    """
-
-    KINDS = _KINDS + _NET_KINDS
-
-    @classmethod
-    def _build_clause(
-        cls, kind: str, target: int, params: Dict[str, float]
-    ) -> FaultClause:
-        if kind == "netchaos":
-            return FaultClause(
-                kind="netchaos",
-                target=target,  # the seed
-                seconds=params.get("seconds", 20.0),
-                refused=int(params.get("refused", 0)),
-                disconnects=int(params.get("disconnect", 0)),
-                stalls=int(params.get("stall", 0)),
-                dups=int(params.get("dup", 0)),
-                corrupts=int(params.get("corrupt", 0)),
-            )
-        if kind == "stall":
-            clause = super()._build_clause(kind, target, params)
-            if not clause.seconds:
-                clause = replace(clause, seconds=20.0)
-            return clause
-        return super()._build_clause(kind, target, params)
-
-    def bind(self, shard_count: int, worker_count: int = 1) -> "FaultPlan":
-        """Resolve ``chaos``/``netchaos`` seeds into concrete targets.
-
-        Shard-level kinds draw distinct shard indices, connection-level
-        ``connrefused`` draws worker indices — both from the clause's own
-        seeded PRNG, so the incident set is a pure function of
-        (seed, shard_count, worker_count).
-        """
-        base = super().bind(shard_count, worker_count)
-        bound = []
-        for clause in base.clauses:
-            if clause.kind != "netchaos":
-                bound.append(clause)
-                continue
-            rng = random.Random(clause.target)
-            shard_kinds = (
-                ["disconnect"] * clause.disconnects
-                + ["stall"] * clause.stalls
-                + ["dupresult"] * clause.dups
-                + ["corruptframe"] * clause.corrupts
-            )
-            want = min(len(shard_kinds), shard_count)
-            picks = rng.sample(range(shard_count), want)
-            for kind, index in zip(shard_kinds, picks):
-                bound.append(
-                    FaultClause(kind=kind, target=index, seconds=clause.seconds)
-                )
-            for _ in range(min(clause.refused, worker_count)):
-                bound.append(
-                    FaultClause(
-                        kind="connrefused",
-                        target=rng.randrange(worker_count),
-                    )
-                )
-        return replace(base, clauses=tuple(bound))
-
     # ------------------------------------------------------------------
     # client-side hook (SocketTransport)
     # ------------------------------------------------------------------
@@ -429,7 +358,7 @@ class NetworkFaultPlan(FaultPlan):
         The daemon interprets each returned clause: ``disconnect`` truncates
         the result frame and closes the connection, ``stall`` suppresses
         heartbeats and sleeps, ``dupresult`` sends the frame twice,
-        ``corruptframe`` flips a body bit under an honest length header.
+        ``corruptframe`` flips a body bit under an honest digest.
         """
         fired = []
         for clause in self.clauses:

@@ -52,7 +52,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 _KEY_SUFFIX = ".json"
 _OBJECT_SUFFIX = ".cert.json"
@@ -141,14 +141,15 @@ class CertificateCache:
     # the hot path
     # ------------------------------------------------------------------
 
-    def get(self, key: str) -> Optional[bytes]:
-        """The cached artifact bytes, integrity-verified — or ``None``.
+    def get(self, key: str) -> Optional[Tuple[bytes, str]]:
+        """The cached artifact bytes and their sha256, verified — or ``None``.
 
         The verification is sha256 over the object's raw bytes against
-        its content address.  Any mismatch — bit rot, manual edit, a
-        truncated object — evicts both the object and the reference and
-        reports a miss, so the caller re-solves; a tampered cache can
-        cost time, never correctness.
+        its content address, which is the digest returned (the server
+        frames the artifact with it instead of hashing it again).  Any
+        mismatch — bit rot, manual edit, a truncated object — evicts both
+        the object and the reference and reports a miss, so the caller
+        re-solves; a tampered cache can cost time, never correctness.
         """
         ref = self._read_ref(key)
         if ref is None:
@@ -167,7 +168,7 @@ class CertificateCache:
             return None
         self.stats.bump("hits")
         self._touch(key)
-        return data
+        return data, digest
 
     def _touch(self, key: str) -> None:
         """Refresh a key's recency record (its reference file mtime)."""

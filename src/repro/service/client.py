@@ -1,11 +1,14 @@
 """The untrusting service client: ``python -m repro.service.client``.
 
-A blocking socket client for the JSONL protocol in
-:mod:`repro.service.server`.  Two layers of distrust are built in:
+A blocking socket client for the protocol in :mod:`repro.service.server`:
+JSON request lines out, :mod:`repro.core.netproto` frames back.  Two
+layers of distrust are built in:
 
-* every received artifact is hashed (sha256 over the exact bytes read)
-  against the digest the server advertised — a corrupted or truncated
-  transfer fails before any JSON is parsed;
+* every event is read through :func:`~repro.core.netproto.recv_frame`,
+  which caps the header line and the body and hashes the artifact
+  (sha256 over the exact bytes read) against the digest the server
+  advertised — a corrupted, truncated or oversized transfer fails before
+  any JSON is parsed;
 * ``--replay`` closes the loop: the artifact is replayed *locally*
   through :func:`repro.certificates.replay.replay_artifact`, so the
   verdict printed is the client's own, not the server's word.  The
@@ -27,15 +30,15 @@ with ``--replay``, locally verified), 1 service/replay rejection,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import socket
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..core.netproto import FrameError, recv_frame
 from .specs import ServiceError
 
 #: Default connect/request retry budget (attempts beyond the first).
@@ -85,9 +88,8 @@ class ServiceClient:
         self.retries = max(int(retries), 0)
         self.retry_backoff = max(float(retry_backoff), 0.0)
         self.sock = self._connect(host, port, timeout)
-        # Buffered file wrappers: readline for event lines, exact-count
-        # read for the raw artifact body (StreamReader's 64 KiB line limit
-        # never applies — artifacts travel outside lines).
+        # Buffered file wrappers: recv_frame reads each event's header line
+        # and, for an artifact, its raw body.
         self.rfile = self.sock.makefile("rb")
         self.wfile = self.sock.makefile("wb")
 
@@ -127,24 +129,13 @@ class ServiceClient:
         self.wfile.write((json.dumps(doc) + "\n").encode("ascii"))
         self.wfile.flush()
 
-    def _recv(self) -> Dict[str, Any]:
-        line = self.rfile.readline()
-        if not line:
-            raise ServiceError("server closed the connection")
-        event = json.loads(line)
-        if not isinstance(event, dict):
-            raise ServiceError(f"malformed event: {line!r}")
-        return event
-
-    def _read_exact(self, count: int) -> bytes:
-        data = self.rfile.read(count)
-        if data is None or len(data) != count:
-            got = 0 if data is None else len(data)
-            raise ServiceError(
-                f"artifact truncated on the wire: expected {count} bytes, "
-                f"got {got}"
-            )
-        return data
+    def _recv(self) -> Tuple[Dict[str, Any], bytes]:
+        """The next event's header and body, or :class:`ServiceError`."""
+        try:
+            event, body, _n = recv_frame(self.rfile)
+        except FrameError as exc:
+            raise ServiceError(f"bad reply from the server: {exc}") from None
+        return event, body
 
     # ------------------------------------------------------------------
 
@@ -158,7 +149,7 @@ class ServiceClient:
         """Submit a query, stream progress, return the verified artifact.
 
         Raises :class:`ServiceError` on a service-side error event, a
-        truncated transfer, or a digest mismatch.
+        malformed, oversized or truncated reply, or a digest mismatch.
         """
         self._send(
             {
@@ -171,8 +162,8 @@ class ServiceClient:
         key = ""
         ticks = 0
         while True:
-            event = self._recv()
-            kind = event.get("event")
+            event, data = self._recv()
+            kind = event["event"]
             if kind == "accepted":
                 key = event.get("key", "")
             elif kind == "progress":
@@ -180,17 +171,12 @@ class ServiceClient:
                 if on_progress is not None:
                     on_progress(event)
             elif kind == "artifact":
-                data = self._read_exact(int(event["bytes"]))
-                digest = hashlib.sha256(data).hexdigest()
-                if digest != event.get("digest"):
-                    raise ServiceError(
-                        "artifact digest mismatch: server advertised "
-                        f"{event.get('digest')}, received bytes hash to {digest}"
-                    )
+                if not data:
+                    raise ServiceError("artifact event carries no bytes")
                 return SolveResult(
                     key=key,
                     cache=event.get("cache", ""),
-                    digest=digest,
+                    digest=event["digest"],  # verified by recv_frame
                     data=data,
                     progress_events=ticks,
                 )
@@ -201,22 +187,22 @@ class ServiceClient:
 
     def status(self) -> Dict[str, Any]:
         self._send({"op": "status"})
-        event = self._recv()
-        if event.get("event") != "status":
+        event, _body = self._recv()
+        if event["event"] != "status":
             raise ServiceError(f"expected status, got {event!r}")
         return event
 
     def ping(self) -> Dict[str, Any]:
         self._send({"op": "ping"})
-        event = self._recv()
-        if event.get("event") != "pong":
+        event, _body = self._recv()
+        if event["event"] != "pong":
             raise ServiceError(f"expected pong, got {event!r}")
         return event
 
     def shutdown(self) -> None:
         self._send({"op": "shutdown"})
-        event = self._recv()
-        if event.get("event") != "bye":
+        event, _body = self._recv()
+        if event["event"] != "bye":
             raise ServiceError(f"expected bye, got {event!r}")
 
 

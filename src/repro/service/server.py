@@ -7,7 +7,8 @@ object per line::
     {"op": "solve", "model": "kbp24-f8", "obligation": "si-solve"}
     {"op": "ping"} | {"op": "status"} | {"op": "shutdown"}
 
-Responses are JSON event lines; a ``solve`` streams::
+Responses are :mod:`repro.core.netproto` frames, one JSON event line
+each (keys sorted on the wire); a ``solve`` streams::
 
     {"event": "accepted", "key": "<sha256>", "query": {...}}
     {"event": "progress", "kind": "shard-completed", ...}   (zero or more)
@@ -15,10 +16,12 @@ Responses are JSON event lines; a ``solve`` streams::
      "digest": "<sha256>", "bytes": N}
     <N raw artifact bytes>
 
-The artifact rides *outside* JSON — after its header line come exactly
-``bytes`` raw bytes — so multi-megabyte certificates are never escaped,
-re-encoded, or split across lines, and the client can hash exactly what
-it received against the advertised digest before parsing anything.
+The artifact is the frame's body and rides *outside* JSON — after its
+header line come exactly ``bytes`` raw bytes — so multi-megabyte
+certificates are never escaped, re-encoded, or split across lines, and
+the client hashes exactly what it received against the advertised digest
+before parsing anything.  The digest is the cache's content address, so
+the server never hashes an artifact twice.
 
 Solve flow: resolve the spec off-loop (model rebuild + digest), consult
 the :class:`~repro.service.cache.CertificateCache` (hits are verified
@@ -41,25 +44,21 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import dataclasses
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..certificates.canonical import CertificateError
-from ..core.netproto import MAX_LINE_BYTES, READ_DEADLINE
+from ..core.netproto import MAX_LINE_BYTES, READ_DEADLINE, encode_header
 from .cache import CertificateCache
 from .queue import SolveQueue
 from .specs import QuerySpec, cache_key, resolve_model, solve_query
 
 #: Protocol tag announced in ``listening``/``pong``/``status`` events.
 PROTOCOL = "repro-service/1"
-
-
-def _encode(doc: Dict[str, Any]) -> bytes:
-    return (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
 
 
 class CertificateServer:
@@ -126,8 +125,8 @@ class CertificateServer:
                     # A silent peer must not hold a connection task forever.
                     await self._send(
                         writer,
+                        "error",
                         {
-                            "event": "error",
                             "error": f"no request within {self.read_deadline}s; "
                             "closing",
                         },
@@ -138,8 +137,8 @@ class CertificateServer:
                     # resynchronized mid-line, so the connection ends here.
                     await self._send(
                         writer,
+                        "error",
                         {
-                            "event": "error",
                             "error": f"request line exceeds {MAX_LINE_BYTES} "
                             "bytes; closing",
                         },
@@ -152,26 +151,24 @@ class CertificateServer:
                     if not isinstance(doc, dict):
                         raise ValueError("request must be a JSON object")
                 except ValueError as exc:
-                    await self._send(writer, {"event": "error", "error": str(exc)})
+                    await self._send(writer, "error", {"error": str(exc)})
                     continue
                 op = doc.get("op")
                 if op == "solve":
                     await self._handle_solve(doc, writer)
                 elif op == "ping":
-                    await self._send(
-                        writer, {"event": "pong", "protocol": PROTOCOL}
-                    )
+                    await self._send(writer, "pong", {"protocol": PROTOCOL})
                 elif op == "status":
-                    await self._send(writer, self._status_event())
+                    await self._send(writer, "status", self._status_event())
                 elif op == "shutdown":
-                    await self._send(writer, {"event": "bye"})
+                    await self._send(writer, "bye")
                     self.stopping.set()
                     break
                 else:
                     await self._send(
                         writer,
+                        "error",
                         {
-                            "event": "error",
                             "error": f"unknown op {op!r}; know solve, ping, "
                             "status, shutdown",
                         },
@@ -187,7 +184,6 @@ class CertificateServer:
 
     def _status_event(self) -> Dict[str, Any]:
         return {
-            "event": "status",
             "protocol": PROTOCOL,
             "uptime": round(time.monotonic() - self.started, 3),
             "cache": self.cache.stats.snapshot(),
@@ -208,11 +204,10 @@ class CertificateServer:
             model = await loop.run_in_executor(None, resolve_model, spec)
             key = cache_key(spec, model=model)
         except CertificateError as exc:  # includes ServiceError
-            await self._send(writer, {"event": "error", "error": str(exc)})
+            await self._send(writer, "error", {"error": str(exc)})
             return
         await self._send(
-            writer,
-            {"event": "accepted", "key": key, "query": spec.describe()},
+            writer, "accepted", {"key": key, "query": spec.describe()}
         )
 
         # Pinned for the whole request: a bounded cache must not retire
@@ -231,9 +226,12 @@ class CertificateServer:
         model: Any,
         key: str,
     ) -> None:
-        data = await loop.run_in_executor(None, self.cache.get, key)
-        if data is not None:
-            await self._send_artifact(writer, data, "hit")
+        hit = await loop.run_in_executor(None, self.cache.get, key)
+        if hit is not None:
+            data, digest = hit
+            await self._send(
+                writer, "artifact", {"cache": "hit", "digest": digest}, data
+            )
             return
 
         events: asyncio.Queue = asyncio.Queue()
@@ -242,7 +240,7 @@ class CertificateServer:
             # Runs on the solver thread; hop onto the loop.
             loop.call_soon_threadsafe(events.put_nowait, event)
 
-        def job(publish: Any) -> bytes:
+        def job(publish: Any) -> Tuple[bytes, str]:
             text = solve_query(
                 spec,
                 model=model,
@@ -252,7 +250,7 @@ class CertificateServer:
                 remote_workers=self.remote_workers,
             )
             payload = text.encode("ascii")
-            self.cache.put(
+            digest = self.cache.put(
                 key,
                 payload,
                 meta={"model": spec.model, "obligation": spec.obligation},
@@ -260,7 +258,7 @@ class CertificateServer:
             # Only after the artifact is durably cached: the journal is the
             # resume story for exactly as long as there is nothing to serve.
             self.cache.clear_journal(key)
-            return payload
+            return payload, digest
 
         flight, leader = self.queue.submit(key, job, subscriber)
         source = "cold" if leader else "coalesced"
@@ -269,56 +267,46 @@ class CertificateServer:
             getter = asyncio.ensure_future(events.get())
             await asyncio.wait({getter, done}, return_when=asyncio.FIRST_COMPLETED)
             if getter.done():
-                await self._send_progress(writer, getter.result())
+                await self._send(writer, "progress", asdict(getter.result()))
                 continue
             getter.cancel()
             # Progress lands on the loop before the future's done-callback
             # (both hop via call_soon_threadsafe, in publish order), but
             # flush anything still queued for good measure.
             while not events.empty():
-                await self._send_progress(writer, events.get_nowait())
+                await self._send(writer, "progress", asdict(events.get_nowait()))
             break
         try:
-            data = done.result()
+            data, digest = done.result()
         except CertificateError as exc:
-            await self._send(writer, {"event": "error", "error": str(exc)})
+            await self._send(writer, "error", {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 — relay, keep serving
             await self._send(
                 writer,
-                {"event": "error", "error": f"solve failed: {type(exc).__name__}: {exc}"},
+                "error",
+                {"error": f"solve failed: {type(exc).__name__}: {exc}"},
             )
         else:
-            await self._send_artifact(writer, data, source)
+            await self._send(
+                writer, "artifact", {"cache": source, "digest": digest}, data
+            )
 
     # ------------------------------------------------------------------
     # wire helpers
     # ------------------------------------------------------------------
 
-    async def _send(self, writer: asyncio.StreamWriter, doc: Dict[str, Any]) -> None:
-        writer.write(_encode(doc))
-        await writer.drain()
-
-    async def _send_progress(self, writer: asyncio.StreamWriter, tick: Any) -> None:
-        event = {"event": "progress"}
-        event.update(dataclasses.asdict(tick))
-        await self._send(writer, event)
-
-    async def _send_artifact(
-        self, writer: asyncio.StreamWriter, data: bytes, source: str
+    async def _send(
+        self,
+        writer: asyncio.StreamWriter,
+        event: str,
+        meta: Optional[Dict[str, Any]] = None,
+        body: bytes = b"",
     ) -> None:
-        import hashlib
-
-        writer.write(
-            _encode(
-                {
-                    "event": "artifact",
-                    "cache": source,
-                    "digest": hashlib.sha256(data).hexdigest(),
-                    "bytes": len(data),
-                }
-            )
-        )
-        writer.write(data)
+        """One frame: the header line, then the body as a second write,
+        so a megabyte artifact is never copied into a joined buffer."""
+        writer.write(encode_header(event, meta, body))
+        if body:
+            writer.write(body)
         await writer.drain()
 
 

@@ -3,8 +3,8 @@
 One daemon serves shard sweeps over TCP to any number of coordinating
 solves, one at a time (each session keeps its own sweep, but the
 backend selection it replays is process-global, so concurrent sessions
-serialize on a lock).  The protocol (DESIGN.md §15) is the
-length-prefixed, digest-checked frame format of :mod:`repro.core.netproto`:
+serialize on a lock).  The protocol (DESIGN.md §15) is the header-line,
+digest-checked frame format of :mod:`repro.core.netproto`:
 
 1. the daemon opens with ``hello``, and — when it holds the shared
    secret (``REPRO_WORKER_KEY`` / ``--key-file``) — a challenge nonce.
@@ -31,8 +31,7 @@ length-prefixed, digest-checked frame format of :mod:`repro.core.netproto`:
 Fault injection: the attach payload carries the solve's fault plan, so
 ``crash``/``hang``/``delay`` clauses fire inside the sweep exactly as
 they do in a pool worker (``crash`` kills the whole daemon — the real
-"worker machine died" case), and
-:class:`~repro.robustness.faults.NetworkFaultPlan` clauses fire around
+"worker machine died" case), and its network clauses fire around
 result delivery: ``stall`` silences heartbeats past the client deadline,
 ``disconnect`` tears the result frame mid-transfer, ``dupresult`` sends
 it twice, ``corruptframe`` flips a body bit under an honest digest.
@@ -59,6 +58,7 @@ from .core.netproto import (
     WORKER_PROTOCOL,
     auth_digest,
     check_auth_digest,
+    encode_header,
     is_loopback_host,
     load_auth_key,
     new_nonce,
@@ -136,7 +136,6 @@ class Session:
         self.wfile = conn.makefile("wb")
         self.write_lock = threading.Lock()
         self.heartbeat_interval = 0.5
-        self.net_plan: Optional[Any] = None
         #: this session's shard sweep, built at attach
         self.sweep: Optional[Any] = None
 
@@ -165,7 +164,7 @@ class Session:
                     header, body, _n = recv_frame(self.rfile)
                 except FrameError:
                     raise _SessionEnd from None
-                kind = header.get("type")
+                kind = header["event"]
                 if kind == "shard":
                     self._serve_shard(header)
                 elif kind == "rss":
@@ -213,8 +212,8 @@ class Session:
             header, _body, _n = recv_frame(self.rfile)
         except FrameError:
             raise _SessionEnd from None
-        if header.get("type") != "auth":
-            self.fail(f"expected 'auth', got {header.get('type')!r}")
+        if header["event"] != "auth":
+            self.fail(f"expected 'auth', got {header['event']!r}")
             raise _SessionEnd
         if not check_auth_digest(self.key, nonce, header.get("digest")):
             self.log("rejected peer: bad auth digest")
@@ -231,8 +230,8 @@ class Session:
             header, body, _n = recv_frame(self.rfile)
         except FrameError:
             raise _SessionEnd from None
-        if header.get("type") != "attach":
-            self.fail(f"expected 'attach', got {header.get('type')!r}")
+        if header["event"] != "attach":
+            self.fail(f"expected 'attach', got {header['event']!r}")
             raise _SessionEnd
         if header.get("protocol") != WORKER_PROTOCOL:
             self.fail(
@@ -272,8 +271,6 @@ class Session:
         except TypeError as exc:
             self.fail(f"bad attach payload: {exc!r}")
             raise _SessionEnd from None
-        if hasattr(self.sweep.fault_plan, "before_result"):
-            self.net_plan = self.sweep.fault_plan
         self.send("attached", {"program": actual, "protocol": WORKER_PROTOCOL})
         self.log(f"attached to {actual}")
 
@@ -297,11 +294,8 @@ class Session:
     def _deliver(
         self, index: int, fixed_mask: int, attempt: int, body: bytes
     ) -> None:
-        fired = (
-            self.net_plan.before_result(index)
-            if self.net_plan is not None
-            else ()
-        )
+        plan = self.sweep.fault_plan
+        fired = plan.before_result(index) if plan is not None else ()
         kinds = {clause.kind for clause in fired}
         for clause in fired:
             if clause.kind == "stall":
@@ -310,13 +304,13 @@ class Session:
 
                 time.sleep(clause.seconds)
 
-        from .core.netproto import encode_frame
-
-        data = encode_frame(
+        # Header line and body as one byte string, so the faults below cut
+        # or flip the real frame.
+        data = encode_header(
             "result",
             {"index": index, "fixed_mask": fixed_mask, "attempt": attempt},
             body,
-        )
+        ) + body
         if "corruptframe" in kinds:
             # Flip the last body byte under the honest header digest: the
             # receiver's sha256 check must catch it before pickle does.

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import socket
-import struct
 
 import pytest
 from hypothesis import given, settings
@@ -15,28 +15,30 @@ from repro.core.netproto import (
     FrameError,
     MAX_FRAME_BYTES,
     MAX_LINE_BYTES,
-    encode_frame,
+    encode_header,
     recv_frame,
     send_frame,
 )
 
 
-def roundtrip(frame_type, meta=None, body=b""):
+def roundtrip(event, meta=None, body=b""):
     wire = io.BytesIO()
-    sent = send_frame(wire, frame_type, meta, body)
+    sent = send_frame(wire, event, meta, body)
     wire.seek(0)
     header, got_body, read = recv_frame(wire)
     assert sent == read == len(wire.getvalue())
     return header, got_body
 
 
+def header_line(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
+
+
 class TestRoundTrip:
     def test_empty_body(self):
         header, body = roundtrip("heartbeat")
-        assert header["type"] == "heartbeat"
-        assert header["body"] == 0
+        assert header == {"event": "heartbeat"}
         assert body == b""
-        assert "sha256" not in header
 
     def test_meta_and_body(self):
         header, body = roundtrip(
@@ -44,7 +46,21 @@ class TestRoundTrip:
         )
         assert header["index"] == 3
         assert header["attempt"] == 2
+        assert header["bytes"] == len(body)
+        assert header["digest"] == hashlib.sha256(body).hexdigest()
         assert body == b"\x00\xff payload"
+
+    def test_header_is_one_sorted_json_line(self):
+        body = b"artifact bytes"
+        line = encode_header("artifact", {"cache": "hit"}, body)
+        assert line == header_line(
+            {
+                "bytes": len(body),
+                "cache": "hit",
+                "digest": hashlib.sha256(body).hexdigest(),
+                "event": "artifact",
+            }
+        )
 
     @settings(max_examples=50, deadline=None)
     @given(body=st.binary(max_size=4096), index=st.integers(0, 1 << 30))
@@ -80,50 +96,67 @@ class TestRejection:
                 send_frame(wfile, "heartbeat")
 
     def test_torn_frame_is_not_a_clean_close(self):
-        data = encode_frame("result", body=b"x" * 100)
+        body = b"x" * 100
+        data = encode_header("result", body=body) + body
         with pytest.raises(FrameError, match="torn mid-transfer"):
-            recv_frame(io.BytesIO(data[: len(data) // 2]))
+            recv_frame(io.BytesIO(data[: len(data) - len(body) // 2]))
+
+    def test_unterminated_header_at_eof_is_torn(self):
+        line = header_line({"event": "result"})
+        with pytest.raises(FrameError, match="torn mid-transfer"):
+            recv_frame(io.BytesIO(line[:-1]))
 
     def test_corrupt_body_fails_the_digest(self):
-        data = encode_frame("result", body=b"x" * 100)
+        body = b"x" * 100
+        data = encode_header("result", body=body) + body
         flipped = data[:-1] + bytes([data[-1] ^ 0xFF])
         with pytest.raises(FrameError, match="corrupt frame"):
             recv_frame(io.BytesIO(flipped))
 
     def test_oversized_header_claim_rejected(self):
-        wire = struct.pack("!I", MAX_LINE_BYTES + 1)
-        with pytest.raises(FrameError, match="header claims"):
+        wire = b'{"event": "x", "pad": "' + b"y" * MAX_LINE_BYTES + b'"}\n'
+        with pytest.raises(FrameError, match="exceeds"):
             recv_frame(io.BytesIO(wire))
 
+    def test_header_at_the_cap_is_accepted(self):
+        line = header_line({"event": "x", "pad": ""})
+        pad = "y" * (MAX_LINE_BYTES - len(line))
+        line = header_line({"event": "x", "pad": pad})
+        assert len(line) == MAX_LINE_BYTES
+        assert recv_frame(io.BytesIO(line))[0]["pad"] == pad
+
     def test_oversized_body_claim_rejected(self):
-        blob = json.dumps(
-            {"type": "result", "body": MAX_FRAME_BYTES + 1}
-        ).encode("ascii")
-        wire = struct.pack("!I", len(blob)) + blob
+        wire = header_line(
+            {"event": "result", "bytes": MAX_FRAME_BYTES + 1, "digest": "0"}
+        )
         with pytest.raises(FrameError, match="body claims"):
             recv_frame(io.BytesIO(wire))
 
     def test_negative_body_claim_rejected(self):
-        blob = json.dumps({"type": "result", "body": -1}).encode("ascii")
-        wire = struct.pack("!I", len(blob)) + blob
+        wire = header_line({"event": "result", "bytes": -1})
         with pytest.raises(FrameError, match="body claims"):
             recv_frame(io.BytesIO(wire))
 
     def test_malformed_header_json_rejected(self):
-        blob = b"not json at all!"
-        wire = struct.pack("!I", len(blob)) + blob
+        with pytest.raises(FrameError, match="malformed frame header"):
+            recv_frame(io.BytesIO(b"{not json at all!\n"))
+
+    def test_header_without_event_rejected(self):
+        wire = header_line({"type": "result"})
         with pytest.raises(FrameError, match="malformed frame header"):
             recv_frame(io.BytesIO(wire))
 
-    def test_header_without_type_rejected(self):
-        blob = json.dumps({"body": 0}).encode("ascii")
-        wire = struct.pack("!I", len(blob)) + blob
-        with pytest.raises(FrameError, match="malformed frame header"):
+    def test_length_prefixed_frame_is_refused_at_once(self):
+        """A repro-worker/4 frame starts with its u32 header length; the
+        reader names the framing instead of waiting for a newline."""
+        blob = json.dumps({"type": "hello", "body": 0}).encode("ascii")
+        wire = len(blob).to_bytes(4, "big") + blob
+        with pytest.raises(FrameError, match="u32 length prefix"):
             recv_frame(io.BytesIO(wire))
 
     def test_encode_refuses_oversized_header(self):
         with pytest.raises(FrameError, match="header is"):
-            encode_frame("x", {"pad": "y" * (MAX_LINE_BYTES + 1)})
+            encode_header("x", {"pad": "y" * (MAX_LINE_BYTES + 1)})
 
 
 class TestAuthHelpers:

@@ -8,10 +8,12 @@ attach handshakes are tested as deployed.
 
 from __future__ import annotations
 
+import json
 import pickle
 import queue
 import socket
 import threading
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -20,10 +22,12 @@ import pytest
 from repro.core import solve_si, solve_si_parallel
 from repro.core.netproto import (
     WORKER_PROTOCOL,
+    encode_header,
     recv_frame,
     send_frame,
 )
 from repro.core.transport import (
+    CONNECT_TIMEOUT,
     DEFAULT_HEARTBEAT,
     DEFAULT_HEARTBEAT_TIMEOUT,
     ShardLeaseRevoked,
@@ -281,7 +285,7 @@ class TestSessionHygiene:
         sock, rfile, _wfile = self._connect(addr)
         try:
             header, _body, _n = recv_frame(rfile)
-            assert header["type"] == "hello"
+            assert header["event"] == "hello"
             assert header["protocol"] == WORKER_PROTOCOL
             assert header["auth"] == "none"
         finally:
@@ -319,7 +323,7 @@ class TestSessionHygiene:
                     pickle.dumps(payload),
                 )
                 header, _body, _n = recv_frame(rfile)
-                assert header["type"] == "error"
+                assert header["event"] == "error"
                 assert "bad attach payload" in header["message"]
             finally:
                 sock.close()
@@ -374,35 +378,60 @@ class TestTransportInternals:
         with pytest.raises(BrokenProcessPool):
             queued.result(timeout=1)
 
-    def test_coordinator_refuses_an_older_protocol(self):
-        """A daemon speaking repro-worker/3, which still accepts an
-        attach payload with fields the sweep no longer takes, is refused
-        at hello."""
+    def _fake_daemon(self, hello: bytes):
+        """A listener that answers one connect with ``hello`` and then
+        holds the link until the coordinator hangs up."""
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.bind(("127.0.0.1", 0))
         server.listen(1)
-        address = f"127.0.0.1:{server.getsockname()[1]}"
 
         def old_daemon():
             conn, _ = server.accept()
-            with conn, conn.makefile("wb") as wfile:
-                send_frame(
-                    wfile, "hello", {"protocol": "repro-worker/3", "auth": "none"}
-                )
-                conn.recv(1)  # hold the link until the coordinator hangs up
+            with conn:
+                conn.sendall(hello)
+                conn.recv(1)
 
         thread = threading.Thread(target=old_daemon, daemon=True)
         thread.start()
+        return server, thread, f"127.0.0.1:{server.getsockname()[1]}"
+
+    def test_coordinator_refuses_an_older_protocol(self, kbp):
+        """A daemon tagged repro-worker/4, whose attach framing this
+        coordinator no longer speaks, is refused at hello."""
+        hello = encode_header(
+            "hello", {"protocol": "repro-worker/4", "auth": "none"}
+        )
+        server, thread, address = self._fake_daemon(hello)
         try:
             with pytest.raises(SocketTransportError, match="protocol mismatch"):
-                SocketTransport(
-                    [address], program_digest="sha256:feedbeef", attach_args={}
-                )
+                SocketTransport([address], {"program": kbp})
         finally:
             server.close()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert WORKER_PROTOCOL == "repro-worker/4"
+        assert WORKER_PROTOCOL == "repro-worker/5"
+
+    def test_length_prefixed_hello_fails_fast(self, kbp):
+        """A repro-worker/4 daemon's u32-prefixed hello carries no newline;
+        the coordinator refuses it at once instead of waiting out its
+        attach timeout."""
+        blob = json.dumps(
+            {"auth": "none", "body": 0, "protocol": "repro-worker/4",
+             "type": "hello"},
+            sort_keys=True,
+        ).encode("ascii")
+        server, thread, address = self._fake_daemon(
+            len(blob).to_bytes(4, "big") + blob
+        )
+        start = time.monotonic()
+        try:
+            with pytest.raises(SocketTransportError, match="u32 length prefix"):
+                SocketTransport([address], {"program": kbp})
+        finally:
+            server.close()
+            thread.join(timeout=10)
+        assert time.monotonic() - start < CONNECT_TIMEOUT
+        assert not thread.is_alive()
 
     def test_revoked_lease_names_the_shard(self):
         transport = self._bare_transport()

@@ -19,8 +19,6 @@ from repro.core.kbp import solve_si
 from repro.core.parallel import solve_si_parallel
 from repro.robustness import (
     FaultPlan,
-    FaultPlanError,
-    NetworkFaultPlan,
     SimulatedKill,
     verify_journal,
 )
@@ -47,7 +45,7 @@ def fast_heartbeats(monkeypatch):
 
 class TestNetworkGrammar:
     def test_every_network_kind_parses(self):
-        plan = NetworkFaultPlan.parse(
+        plan = FaultPlan.parse(
             "connrefused@0;disconnect@2;stall@1:seconds=30;dupresult@3;"
             "corruptframe@2;netchaos@7:refused=1:disconnect=2"
         )
@@ -61,28 +59,27 @@ class TestNetworkGrammar:
         ]
 
     def test_base_kinds_still_parse(self):
-        plan = NetworkFaultPlan.parse("crash@1;delay@0:seconds=0.1")
+        plan = FaultPlan.parse("crash@1;delay@0:seconds=0.1")
         assert [c.kind for c in plan.clauses] == ["crash", "delay"]
 
-    def test_base_plan_rejects_network_kinds(self):
-        with pytest.raises(FaultPlanError):
-            FaultPlan.parse("disconnect@2")
+    def test_one_grammar_parses_all_twelve_kinds(self, monkeypatch):
+        kinds = (
+            "crash", "hang", "delay", "kill", "torn", "chaos", "connrefused",
+            "disconnect", "stall", "dupresult", "corruptframe", "netchaos",
+        )
+        spec = ";".join(f"{kind}@1" for kind in kinds)
+        assert tuple(c.kind for c in FaultPlan.parse(spec).clauses) == kinds
+        monkeypatch.setenv("REPRO_FAULT_PLAN", spec)
+        assert tuple(c.kind for c in FaultPlan.from_env().clauses) == kinds
 
     def test_stall_defaults_twenty_seconds(self):
-        plan = NetworkFaultPlan.parse("stall@1")
+        plan = FaultPlan.parse("stall@1")
         assert plan.clauses[0].seconds == 20.0
-
-    def test_from_env_upgrades_to_network_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@0;dupresult@2")
-        plan = FaultPlan.from_env()
-        assert isinstance(plan, NetworkFaultPlan)
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@0")
-        assert not isinstance(FaultPlan.from_env(), NetworkFaultPlan)
 
     def test_netchaos_binding_is_deterministic(self):
         spec = "netchaos@7:refused=2:disconnect=1:stall=1:dup=1:corrupt=1"
-        one = NetworkFaultPlan.parse(spec).bind(8, worker_count=3)
-        two = NetworkFaultPlan.parse(spec).bind(8, worker_count=3)
+        one = FaultPlan.parse(spec).bind(8, worker_count=3)
+        two = FaultPlan.parse(spec).bind(8, worker_count=3)
         assert [
             (c.kind, c.target) for c in one.clauses
         ] == [(c.kind, c.target) for c in two.clauses]
@@ -101,7 +98,7 @@ class TestNetworkGrammar:
         )
 
     def test_netchaos_counts_cap_at_the_shard_count(self):
-        plan = NetworkFaultPlan.parse("netchaos@1:disconnect=99").bind(4)
+        plan = FaultPlan.parse("netchaos@1:disconnect=99").bind(4)
         assert sum(1 for c in plan.clauses if c.kind == "disconnect") == 4
 
 
@@ -125,7 +122,7 @@ class TestChaosMatrix:
     ):
         addrs = [spawn_worker(f"w{i}")[1] for i in range(2)]
         report = solve_si_parallel(
-            kbp, remote_workers=addrs, fault_plan=NetworkFaultPlan.parse(spec)
+            kbp, remote_workers=addrs, fault_plan=FaultPlan.parse(spec)
         )
         assert_same_report(serial_report, report)
         log = report.fault_log
@@ -142,7 +139,7 @@ class TestChaosMatrix:
         report = solve_si_parallel(
             kbp,
             remote_workers=addrs,
-            fault_plan=NetworkFaultPlan.parse("dupresult@1"),
+            fault_plan=FaultPlan.parse("dupresult@1"),
         )
         assert_same_report(serial_report, report)
         assert report.dispatch.duplicate_results == 1
@@ -152,7 +149,7 @@ class TestChaosMatrix:
         """Everything at once, certified: the artifact must not notice."""
         reference = solve_si(kbp, parallel="never", emit_certificate=True)
         addrs = [spawn_worker(f"w{i}")[1] for i in range(2)]
-        plan = NetworkFaultPlan.parse(
+        plan = FaultPlan.parse(
             "netchaos@7:refused=1:disconnect=1:stall=1:dup=1:corrupt=1"
             ":seconds=3"
         )
@@ -182,7 +179,7 @@ class TestWorkerLoss:
         report = solve_si_parallel(
             kbp,
             remote_workers=addrs,
-            fault_plan=NetworkFaultPlan.parse("crash@1"),
+            fault_plan=FaultPlan.parse("crash@1"),
         )
         assert_same_report(serial_report, report)
         assert report.dispatch.workers_lost == 1
@@ -194,7 +191,7 @@ class TestWorkerLoss:
         procs = [spawn_worker(f"w{i}") for i in range(2)]
         addrs = [addr for _, addr in procs]
         # Stretch the solve so the kill lands mid-flight.
-        plan = NetworkFaultPlan.parse(
+        plan = FaultPlan.parse(
             ";".join(f"delay@{i}:seconds=0.3" for i in range(8))
         )
         killer = threading.Timer(0.4, procs[0][0].kill)
@@ -218,7 +215,7 @@ class TestWorkerLoss:
         report = solve_si_parallel(
             kbp,
             remote_workers=[addr],
-            fault_plan=NetworkFaultPlan.parse("crash@0"),
+            fault_plan=FaultPlan.parse("crash@0"),
         )
         assert_same_report(serial_report, report)
         assert report.fault_log.count("degraded-to-local") >= 1
@@ -243,7 +240,7 @@ class TestCoordinatorResume:
                 remote_workers=addrs,
                 emit_certificate=True,
                 checkpoint=journal,
-                fault_plan=NetworkFaultPlan.parse("kill@2"),
+                fault_plan=FaultPlan.parse("kill@2"),
             )
         summary = verify_journal(journal)
         assert summary["shards_journaled"] == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import pytest
@@ -22,9 +23,15 @@ DATA = b'{"format": "x"}\n'
 class TestCacheRoundTrip:
     def test_put_get_byte_identical(self, cache):
         digest = cache.put(KEY, DATA)
-        assert cache.get(KEY) == DATA
+        assert cache.get(KEY)[0] == DATA
         assert cache.object_path(digest).read_bytes() == DATA
         assert cache.stats.snapshot()["hits"] == 1
+
+    def test_get_returns_the_verified_digest(self, cache):
+        digest = cache.put(KEY, DATA)
+        data, got = cache.get(KEY)
+        assert data == DATA
+        assert got == digest == hashlib.sha256(DATA).hexdigest()
 
     def test_unknown_key_is_a_miss(self, cache):
         assert cache.get(KEY) is None
@@ -67,7 +74,7 @@ class TestTamperEviction:
         cache.object_path(digest).write_bytes(b"garbage")
         assert cache.get(KEY) is None
         cache.put(KEY, DATA)  # the re-solve
-        assert cache.get(KEY) == DATA
+        assert cache.get(KEY)[0] == DATA
 
 
 class TestDedup:
@@ -78,7 +85,7 @@ class TestDedup:
         objects = list(cache.objects_dir.glob("*.cert.json"))
         assert len(objects) == 1
         assert cache.stats.snapshot()["deduped_puts"] == 1
-        assert cache.get(KEY) == cache.get(OTHER) == DATA
+        assert cache.get(KEY)[0] == cache.get(OTHER)[0] == DATA
 
 
 def _payload(tag: str, size: int = 100) -> bytes:
@@ -120,8 +127,8 @@ class TestBoundedCache:
         _age(cache, self.K2, 20)
         cache.put(self.K3, _payload("c"))  # 300 bytes total > 250
         assert cache.get(self.K1) is None  # oldest retired
-        assert cache.get(self.K2) == _payload("b")
-        assert cache.get(self.K3) == _payload("c")
+        assert cache.get(self.K2)[0] == _payload("b")
+        assert cache.get(self.K3)[0] == _payload("c")
         assert cache.stats.snapshot()["lru_evictions"] == 1
         assert cache.object_bytes() <= 250
 
@@ -131,15 +138,15 @@ class TestBoundedCache:
         _age(cache, self.K1, 30)
         cache.put(self.K2, _payload("b"))
         _age(cache, self.K2, 20)
-        assert cache.get(self.K1) == _payload("a")  # bumps K1 past K2
+        assert cache.get(self.K1)[0] == _payload("a")  # bumps K1 past K2
         cache.put(self.K3, _payload("c"))
-        assert cache.get(self.K1) == _payload("a")
+        assert cache.get(self.K1)[0] == _payload("a")
         assert cache.get(self.K2) is None
 
     def test_the_fresh_put_is_never_its_own_victim(self, tmp_path):
         cache = CertificateCache(tmp_path / "c", max_bytes=50)
         cache.put(self.K1, _payload("a"))  # alone over budget
-        assert cache.get(self.K1) == _payload("a")
+        assert cache.get(self.K1)[0] == _payload("a")
         assert cache.stats.snapshot()["lru_evictions"] == 0
 
     def test_pinned_keys_are_never_retired(self, tmp_path):
@@ -150,7 +157,7 @@ class TestBoundedCache:
         cache.put(self.K2, _payload("b"))
         _age(cache, self.K2, 20)
         cache.put(self.K3, _payload("c"))
-        assert cache.get(self.K1) == _payload("a")  # pinned oldest survives
+        assert cache.get(self.K1)[0] == _payload("a")  # pinned oldest survives
         assert cache.get(self.K2) is None  # next-oldest paid instead
         cache.unpin(self.K1)
         assert self.K1 not in cache._pinned()
@@ -178,7 +185,7 @@ class TestBoundedCache:
         # and the cache runs over budget rather than touch a pinned key
         # or unlink an object a living reference still needs.
         assert cache.get(self.K1) is None
-        assert cache.get(self.K2) == shared
+        assert cache.get(self.K2)[0] == shared
         assert cache.object_path(digest).exists()
 
     def test_evicting_a_shared_reference_frees_no_bytes_so_lru_continues(
@@ -196,7 +203,7 @@ class TestBoundedCache:
         # bytes actually leave disk.
         assert cache.get(self.K1) is None
         assert cache.get(self.K2) is None
-        assert cache.get(self.K3) == _payload("c")
+        assert cache.get(self.K3)[0] == _payload("c")
         assert cache.object_bytes() <= 150
 
     def test_tamper_eviction_semantics_survive_the_budget(self, tmp_path):

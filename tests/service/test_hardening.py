@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import struct
@@ -10,7 +11,8 @@ import time
 
 import pytest
 
-from repro.core.netproto import MAX_LINE_BYTES
+from repro.core.netproto import MAX_FRAME_BYTES, MAX_LINE_BYTES
+from repro.service import ServiceError
 from repro.service import client as client_mod
 from repro.service.client import ServiceClient, _backoff
 
@@ -75,6 +77,65 @@ class TestLineLimit:
     def test_normal_sized_requests_unaffected(self, server):
         with ServiceClient(port=server.port) as client:
             assert client.ping()["event"] == "pong"
+
+
+# ----------------------------------------------------------------------
+# client-side limits
+# ----------------------------------------------------------------------
+
+
+def _event(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
+
+
+_ACCEPTED = _event({"event": "accepted", "key": "k", "query": {}})
+
+
+class TestClientCaps:
+    """A server that answers ``solve`` badly is refused with ServiceError,
+    at once: the fake holds its end open, so a client that kept reading
+    would time out instead."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"{not json}\n",
+            _event({"event": "progress", "pad": "y" * MAX_LINE_BYTES}),
+            _event({"bytes": MAX_FRAME_BYTES + 1, "cache": "hit",
+                    "digest": "0" * 64, "event": "artifact"}) + b"x" * 1024,
+            _event({"bytes": 5, "cache": "hit",
+                    "digest": hashlib.sha256(b"other").hexdigest(),
+                    "event": "artifact"}) + b"hello",
+        ],
+        ids=["non-json", "over-line-cap", "over-body-cap", "digest-mismatch"],
+    )
+    def test_bad_reply_is_a_service_error(self, reply):
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()
+                try:
+                    conn.sendall(_ACCEPTED + reply)
+                    while conn.recv(4096):
+                        pass
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with ServiceClient(port=port, timeout=10.0) as client:
+                with pytest.raises(ServiceError):
+                    client.solve("kbp24-f4")
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------

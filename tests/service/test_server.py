@@ -9,6 +9,9 @@ journal with a byte-identical final certificate.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import socket
 import threading
 
 import pytest
@@ -18,6 +21,7 @@ from repro.certificates.store import loads
 from repro.service import QuerySpec, ServiceError, solve_query
 from repro.service.cache import CertificateCache
 from repro.service.client import ServiceClient
+from repro.service.specs import cache_key
 
 #: 2^8 candidates: sharded into 8 journaled shards, still sub-second.
 MODEL = "kbp24-f8"
@@ -71,6 +75,65 @@ class TestHotAndCold:
                 client.solve("no-such-model")
             # The connection survives the error; the next op works.
             assert client.ping()["event"] == "pong"
+
+
+def wire_line(doc) -> bytes:
+    """An event exactly as the documented wire carries it."""
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
+
+
+class TestWire:
+    """The raw bytes a server sends, which other clients parse directly
+    (one sorted-key JSON line per event, the artifact's bytes after its
+    header line)."""
+
+    PROGRESS_FIELDS = {
+        "event", "kind", "shard_index", "shards_completed", "shards_total",
+        "candidates_checked", "candidates_resumed",
+    }
+
+    def _solve(self, sock, rfile, spec):
+        sock.sendall(wire_line({"op": "solve", "model": spec.model,
+                                "obligation": spec.obligation}))
+        accepted = rfile.readline()
+        progress = []
+        line = rfile.readline()
+        while json.loads(line)["event"] == "progress":
+            progress.append(line)
+            line = rfile.readline()
+        header = json.loads(line)
+        return accepted, progress, line, rfile.read(header["bytes"])
+
+    def test_event_lines_are_sorted_json_lines(self, server):
+        spec = QuerySpec(model=MODEL, obligation="si-solve")
+        reference = solve_query(spec).encode("ascii")
+        digest = hashlib.sha256(reference).hexdigest()
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.settimeout(120)
+            rfile = sock.makefile("rb")
+            sock.sendall(b'{"op": "ping"}\n')
+            assert rfile.readline() == wire_line(
+                {"event": "pong", "protocol": "repro-service/1"}
+            )
+            for cache in ("cold", "hit"):
+                accepted, progress, artifact, data = self._solve(
+                    sock, rfile, spec
+                )
+                assert accepted == wire_line(
+                    {"event": "accepted", "key": cache_key(spec),
+                     "query": spec.describe()}
+                )
+                assert len(progress) == (8 if cache == "cold" else 0)
+                for line in progress:
+                    doc = json.loads(line)
+                    assert line == wire_line(doc)
+                    assert set(doc) == self.PROGRESS_FIELDS
+                assert artifact == wire_line(
+                    {"bytes": len(reference), "cache": cache,
+                     "digest": digest, "event": "artifact"}
+                )
+                assert data == reference
+            rfile.close()
 
 
 class TestTamperedCache:
