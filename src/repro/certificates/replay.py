@@ -156,9 +156,10 @@ def _image(program: Program, p: Predicate) -> Predicate:
 
     Past the explicit-state limit the per-state loop is unrepresentable;
     the image is taken through the ROBDD backend's statement relations
-    instead (relational product + quantify).  This grows the symbolic
-    replay's trusted base to the BDD kernels — unavoidable, since explicit
-    arithmetic cannot even hold one predicate of such a space.
+    instead (forget the written variables, re-bind them, add the states
+    the guard skips).  This grows the symbolic replay's trusted base to
+    the BDD kernels — unavoidable, since explicit arithmetic cannot even
+    hold one predicate of such a space.
     """
     space = program.space
     if space.size > limits.get_limit("explicit"):

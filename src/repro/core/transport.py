@@ -355,6 +355,8 @@ class _WorkerLink:
         self.alive = False
 
     def close(self) -> None:
+        # The closed streams stay, so a link thread still using them
+        # raises OSError/FrameError (a broken lease), not AttributeError.
         for stream in (self.rfile, self.wfile, self.sock):
             if stream is None:
                 continue
@@ -362,7 +364,6 @@ class _WorkerLink:
                 stream.close()
             except OSError:
                 pass
-        self.sock = self.rfile = self.wfile = None
         self.alive = False
 
 
@@ -738,9 +739,9 @@ class SocketTransport(ShardTransport):
         link.  Duplicate results are cross-checked byte-for-byte against
         the first copy and ignored.
         """
-        link.sock.settimeout(self.timeout)
         while True:
             try:
+                link.sock.settimeout(self.timeout)
                 header, body, nbytes = recv_frame(link.rfile)
             except socket.timeout as exc:
                 raise _LinkBroken(

@@ -173,11 +173,12 @@ class PredicateBackend:
     def stmt_relation(self, program, stmt) -> Any:
         """A *relational* transition representation of ``stmt``.
 
-        Built from the statement's update expressions over state-variable
-        bit vectors (current and primed levels), so ``image``/``preimage``
-        lower to relational product + quantification.  Only symbolic
-        backends represent transitions this way; explicit backends keep
-        successor arrays.
+        Built from the statement's expressions over state-variable bit
+        vectors, binding only the written variables' successor copies and
+        keeping the guard-false states as a skip set, so ``image``/
+        ``preimage`` forget and re-bind just the written variables.  Only
+        symbolic backends represent transitions this way; explicit
+        backends keep successor arrays.
         """
         raise NotImplementedError(
             f"backend {self.name!r} has no relational transition "

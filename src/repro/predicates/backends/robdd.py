@@ -15,7 +15,7 @@ Boolean *slots*, MSB first.  Slots are flattened in declaration order into
 * level ``2s`` — the *current* copy,
 * level ``2s+1`` — the *primed* (successor) copy,
 
-so renaming current↔primed is a uniform level shift of ±1 that preserves
+so renaming a slot current↔primed is a level shift of ±1 that preserves
 the order.  Bit patterns that encode no domain value (when a radix is not
 a power of two) are excluded by the per-space *domain constraint* BDD; the
 engine maintains the invariant that every predicate handle is a subset of
@@ -24,13 +24,14 @@ slots are MSB-first and mixed-radix strides decrease, the lexicographic
 order of slot assignments equals the numeric state-index order — the
 least satisfying path is the least member index.
 
-Transitions are *relations* over current+primed levels
-(:class:`RobddRelation`) compiled from the statement's guard and update
-expressions (:meth:`RobddBackend.stmt_relation`) with the shared
-expression compiler's leaf tables (:mod:`repro.unity.support`), which
-never enumerate the space; a Φ plan's successor arrays translate exactly
-(:meth:`RobddEngine.relation_from_array`).  ``image``/``preimage`` are
-relational product + quantification.
+Transitions are frame-free relations (:class:`RobddRelation`) compiled
+from guard and update expressions (:meth:`RobddBackend.stmt_relation`)
+with the expression compiler's tables (:mod:`repro.unity.support`), which
+never enumerate the space: ``G ∧ ⋀_t t' = E_t`` over the primed levels of
+the written slots only, plus the skip set ``¬G``.  ``image`` forgets and
+re-binds just the written slots (eq. (6) per statement); a Φ plan's
+successor arrays (:meth:`RobddEngine.relation_from_array`) write every
+slot and skip nothing, so both kinds share one ``image``/``preimage``.
 """
 
 from __future__ import annotations
@@ -66,13 +67,19 @@ class RobddHandle:
 
 
 class RobddRelation:
-    """A transition relation as a BDD node over current+primed levels."""
+    """``node`` relates current levels to the primed levels of the written
+    slots (interned level sets ``cur``/``pri``; the rest keep their value),
+    and ``skip`` holds states that are their own successors.  The defaults
+    write every slot and skip nothing."""
 
-    __slots__ = ("engine", "node")
+    __slots__ = ("engine", "node", "skip", "cur", "pri")
 
-    def __init__(self, engine: "RobddEngine", node: int):
+    def __init__(self, engine: "RobddEngine", node: int, skip=0, cur=None, pri=None):
         self.engine = engine
         self.node = node
+        self.skip = skip
+        self.cur = engine.cur_set if cur is None else cur
+        self.pri = engine.pri_set if pri is None else pri
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"RobddRelation(node={self.node})"
@@ -127,7 +134,7 @@ class RobddEngine:
         self._or_m: Dict[Tuple[int, int], int] = {}
         self._xor_m: Dict[Tuple[int, int], int] = {}
         self._neg_m: Dict[int, int] = {}
-        self._shift_m: Dict[Tuple[int, int], int] = {}
+        self._rename_m: Dict[Tuple[int, int, int], int] = {}
         self._exists_m: Dict[Tuple[int, int], int] = {}
         self._forall_m: Dict[Tuple[int, int], int] = {}
         self._count_m: Dict[int, int] = {}
@@ -136,19 +143,8 @@ class RobddEngine:
         self._set_ids: Dict[FrozenSet[int], int] = {}
         self.cur_set = self._intern_set(frozenset(range(0, self.n_levels, 2)))
         self.pri_set = self._intern_set(frozenset(range(1, self.n_levels, 2)))
-        # domain constraint (valid digit encodings), both copies
+        # domain constraint (valid digit encodings)
         self.domain = self._build_domain()
-        self.domain_p = self._shift(self.domain, +1)
-        # per-variable and whole-state identity relations (v' = v)
-        self._var_identity: List[int] = [
-            self._build_identity(k) for k in range(len(space.variables))
-        ]
-        ident = 1
-        for rel in reversed(self._var_identity):
-            ident = self._and(ident, rel)
-        self.identity_all = self._and(
-            self._and(ident, self.domain), self.domain_p
-        )
         self._group_tables: Dict[FrozenSet[str], RobddGroupTable] = {}
 
     # ------------------------------------------------------------------
@@ -259,20 +255,23 @@ class RobddEngine:
         self._neg_m[r] = a
         return r
 
-    def _shift(self, a: int, delta: int) -> int:
-        """Rename every level by ``+delta`` (current↔primed; order-preserving)."""
-        if a <= 1:
+    def _rename(self, a: int, sid: int, delta: int) -> int:
+        """Shift set ``sid``'s levels by ``delta`` (current↔primed; order-
+        preserving while one copy of each renamed slot is present)."""
+        levels, maxlvl = self._sets[sid]
+        if a <= 1 or self._level[a] > maxlvl:
             return a
-        key = (a, delta)
-        r = self._shift_m.get(key)
+        key = (a, sid, delta)
+        r = self._rename_m.get(key)
         if r is not None:
             return r
+        lvl = self._level[a]
         r = self._mk(
-            self._level[a] + delta,
-            self._shift(self._lo[a], delta),
-            self._shift(self._hi[a], delta),
+            lvl + delta if lvl in levels else lvl,
+            self._rename(self._lo[a], sid, delta),
+            self._rename(self._hi[a], sid, delta),
         )
-        self._shift_m[key] = r
+        self._rename_m[key] = r
         return r
 
     # ------------------------------------------------------------------
@@ -321,13 +320,13 @@ class RobddEngine:
     # the domain constraint and state cubes
     # ------------------------------------------------------------------
 
-    def _var_lt_const(self, k: int, bound: int, primed: bool) -> int:
-        """``digit_k < bound`` over variable ``k``'s (current or primed) levels."""
+    def _var_lt_const(self, k: int, bound: int) -> int:
+        """``digit_k < bound`` over variable ``k``'s current levels."""
         bits = self.var_bits[k]
         base_slot = sum(self.var_bits[:k])
         node = 0  # after all bits compared equal, value == bound-prefix: not less
         for p in range(bits - 1, -1, -1):
-            lvl = 2 * (base_slot + p) + (1 if primed else 0)
+            lvl = 2 * (base_slot + p)
             c_bit = (bound >> (bits - 1 - p)) & 1
             if c_bit:
                 node = self._mk(lvl, 1, node)
@@ -341,19 +340,7 @@ class RobddEngine:
             r = len(self.space.variables[k].domain)
             if r == (1 << self.var_bits[k]):
                 continue
-            node = self._and(self._var_lt_const(k, r, False), node)
-        return node
-
-    def _build_identity(self, k: int) -> int:
-        """``v_k' = v_k`` as a relation node."""
-        bits = self.var_bits[k]
-        base_slot = sum(self.var_bits[:k])
-        node = 1
-        for p in range(bits - 1, -1, -1):
-            s = base_slot + p
-            both0 = self._mk(2 * s + 1, node, 0)
-            both1 = self._mk(2 * s + 1, 0, node)
-            node = self._mk(2 * s, both0, both1)
+            node = self._and(self._var_lt_const(k, r), node)
         return node
 
     def state_cube(self, index: int, primed: bool = False) -> int:
@@ -465,15 +452,16 @@ class RobddEngine:
     # relational kernels
     # ------------------------------------------------------------------
 
-    def image(self, u: int, rel: int) -> int:
-        prod = self._and(u, rel)
-        e = self._exists(prod, self.cur_set)
-        return self._and(self._shift(e, -1), self.domain)
+    def image(self, u: int, rel: RobddRelation) -> int:
+        """``(∃ written. u ∧ taken)[written' → written] ∨ (u ∧ skip)``."""
+        e = self._exists(self._and(u, rel.node), rel.cur)
+        out = self._and(self._rename(e, rel.pri, -1), self.domain)
+        return self._or(out, self._and(u, rel.skip))
 
-    def preimage(self, u: int, rel: int) -> int:
-        prod = self._and(rel, self._shift(u, +1))
-        e = self._exists(prod, self.pri_set)
-        return self._and(e, self.domain)
+    def preimage(self, u: int, rel: RobddRelation) -> int:
+        """``(∃ written'. taken ∧ u[written → written']) ∨ (u ∧ skip)``."""
+        e = self._exists(self._and(rel.node, self._rename(u, rel.cur, +1)), rel.pri)
+        return self._or(self._and(e, self.domain), self._and(u, rel.skip))
 
     def relation_from_array(self, succ) -> int:
         parts = [
@@ -737,24 +725,25 @@ class RobddBackend(PredicateBackend):
 
     def image(self, handle, table, size):
         eng = handle.engine
-        return RobddHandle(eng, eng.image(handle.node, table.node))
+        return RobddHandle(eng, eng.image(handle.node, table))
 
     def preimage(self, handle, table, size):
         eng = handle.engine
-        return RobddHandle(eng, eng.preimage(handle.node, table.node))
+        return RobddHandle(eng, eng.preimage(handle.node, table))
 
     # -- relational compilation from expressions --------------------------
 
     def stmt_relation(self, program, stmt) -> RobddRelation:
         """Compile ``stmt`` to a relation without enumerating the space.
 
-        ``R = (G ∧ ⋀_t t' = E_t ∧ frame) ∨ (¬G ∧ identity)``, intersected
-        with both domain copies.  Guard leaves and update values come from
-        the expression compiler's tables, one row per assignment of each
-        expression's *support*, so cost scales with how much state a
-        statement reads, not with the space.  Where the guard raises, or
-        holds while an update raises or leaves its domain, the lowest such
-        state is re-run per state and raises what the explicit backends do.
+        Frame-free: ``G ∧ ⋀_t t' = E_t`` binds only the written slots'
+        primed levels, and ``¬G`` is the skip set, both inside the domain.
+        Guard leaves and update values come from the expression compiler's
+        tables, one row per assignment of each expression's *support*, so
+        cost scales with how much state a statement reads, not with the
+        space.  Where the guard raises, or holds while an update raises or
+        leaves its domain, the lowest such state is re-run per state and
+        raises what the explicit backends do.
         """
         from ...unity import support
 
@@ -772,13 +761,11 @@ class RobddBackend(PredicateBackend):
         witness = eng.min_index(eng._and(errors, eng.domain))
         if witness is not None:
             support.reraise_step(space, stmt, witness)
-        targets = set(stmt.targets)
-        for k, variable in enumerate(space.variables):
-            if variable.name not in targets:
-                taken = eng._and(taken, eng._var_identity[k])
-        skip = eng._and(eng._and(eng._neg(guard), eng.domain), eng.identity_all)
-        rel = eng._and(eng._or(taken, skip), eng.domain_p)
-        return RobddRelation(eng, rel)
+        written = {space.position(target) for target in stmt.targets}
+        cur = frozenset(2 * s for s in range(eng.n_slots) if eng.slot_var[s] in written)
+        pri = eng._intern_set(frozenset(lvl + 1 for lvl in cur))
+        skip = eng._and(eng._neg(guard), eng.domain)
+        return RobddRelation(eng, taken, skip, eng._intern_set(cur), pri)
 
     def expr_handle(self, space, expr, resolution=None) -> RobddHandle:
         """The predicate denoted by a Boolean expression, compiled symbolically.

@@ -33,6 +33,7 @@ from repro.core.transport import (
     ShardLeaseRevoked,
     SocketTransport,
     SocketTransportError,
+    _LinkBroken,
     _SocketTask,
     _WorkerLink,
     heartbeat_interval,
@@ -432,6 +433,41 @@ class TestTransportInternals:
             thread.join(timeout=10)
         assert time.monotonic() - start < CONNECT_TIMEOUT
         assert not thread.is_alive()
+
+    def _linked_transport(self):
+        """A bare transport with one attached link over a socket pair."""
+        transport = self._bare_transport()
+        transport.timeout = 1.0
+        near, far = socket.socketpair()
+        link = _WorkerLink(0, "127.0.0.1:1")
+        link.sock, link.rfile, link.wfile = near, near.makefile("rb"), near.makefile("wb")
+        link.alive = True
+        transport.links = [link]
+        return transport, link, far
+
+    def test_a_link_closed_by_terminate_breaks_its_lease(self):
+        """A link thread racing terminate() dispatches on a closed link:
+        the lease breaks and its future completes; the thread lives."""
+        transport, link, far = self._linked_transport()
+        try:
+            transport.terminate()
+            task = _SocketTask(0, 0b11, 1, Future())
+            assert transport._dispatch(link, task) is False
+            assert task.future.done()
+            if not task.future.cancelled():
+                with pytest.raises(ShardLeaseRevoked):
+                    task.future.result(timeout=0)
+        finally:
+            far.close()
+
+    def test_awaiting_a_result_on_a_closed_link_breaks_it(self):
+        transport, link, far = self._linked_transport()
+        try:
+            link.close()
+            with pytest.raises(_LinkBroken):
+                transport._await_result(link, _SocketTask(0, 0b11, 1, Future()))
+        finally:
+            far.close()
 
     def test_revoked_lease_names_the_shard(self):
         transport = self._bare_transport()

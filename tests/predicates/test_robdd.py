@@ -26,6 +26,7 @@ from repro.predicates import limits
 from repro.predicates.backends.robdd import RobddHandle
 from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.transformers import sp_statement, sst, wp_statement
+from repro.unity import Const, Ite, Program, assign, lnot, var
 
 from ..conftest import program_with_predicates
 
@@ -162,6 +163,101 @@ class TestRobddTransformersAgreeWithInt:
                             scyl(names, fresh).fingerprint(),
                         )
                 assert results["int"] == results["robdd"]
+
+
+#: Guards and Boolean right-hand sides over :func:`_space`.
+_CONDITIONS = (
+    Const(True),
+    Const(False),
+    var("a"),
+    lnot(var("b")),
+    var("n") < 3,
+    var("n").eq(5),
+    var("a") & (var("n") < 4),
+    var("b") | var("c"),
+)
+#: Digits for ``n`` (radix 6), every one inside the domain.
+_DIGITS = tuple(Const(d) for d in range(6)) + (
+    var("n"),
+    (var("n") + 1) % 6,
+    (var("n") + 5) % 6,
+)
+
+
+@st.composite
+def _statements(draw):
+    """A guarded multiple assignment over :func:`_space`, total on its domain."""
+    conditions = st.sampled_from(_CONDITIONS)
+    digits = st.sampled_from(_DIGITS)
+    targets = draw(st.lists(st.sampled_from(("a", "n", "b", "c")), min_size=1, unique=True))
+    updates = {
+        t: draw(st.builds(Ite, conditions, digits, digits) | digits if t == "n" else conditions)
+        for t in targets
+    }
+    return assign("step", updates, guard=draw(conditions))
+
+
+class TestOneImagePath:
+    """A statement's frame-free relation (``stmt_relation``) and its
+    successor array's relation (``table_from_array_in``: every slot
+    written, nothing skipped) share one ``image`` and one ``preimage``;
+    on arbitrary sets both must give the int backend's answer."""
+
+    def _check(self, stmt, masks):
+        space = _space()
+        size = space.size
+        program = Program(space, init=Const(True), statements=[stmt])
+        succ = program.successor_array(stmt)
+        bk_int, bk_bdd = get_backend("int"), get_backend("robdd")
+        reference = bk_int.table_from_array(succ, size)
+        relations = (
+            bk_bdd.stmt_relation(program, stmt),
+            bk_bdd.table_from_array_in(space, succ),
+        )
+        for mask in masks:
+            handle = bk_int.from_mask(mask, size)
+            expected = [
+                bk_int.to_mask(kernel(handle, reference, size), size)
+                for kernel in (bk_int.image, bk_int.preimage)
+            ]
+            for relation in relations:
+                handle = bk_bdd.from_mask_in(space, mask)
+                got = [
+                    bk_bdd.to_mask(kernel(handle, relation, size), size)
+                    for kernel in (bk_bdd.image, bk_bdd.preimage)
+                ]
+                assert got == expected, (stmt, mask, relation.cur)
+
+    @pytest.mark.parametrize(
+        "stmt",
+        [
+            # Writes a strict subset: ``a``, ``n`` and ``c`` keep their values.
+            assign("flip", {"b": lnot(var("b"))}),
+            # The guard is false on part of the domain, where states skip;
+            # ``n`` has radix 6, so its slots hold unused bit patterns.
+            assign("bump", {"n": (var("n") + 1) % 6}, guard=var("n") < 4),
+            # A multi-target update that reads what it writes.
+            assign(
+                "swap",
+                {"a": var("b"), "b": var("a"), "n": Ite(var("c"), Const(5), Const(0))},
+                guard=var("a") | var("c"),
+            ),
+            # Every variable written, under a guard.
+            assign(
+                "all",
+                {"a": var("c"), "n": (var("n") + 5) % 6, "b": Const(True), "c": var("a")},
+                guard=var("n") < 5,
+            ),
+        ],
+        ids=["strict-subset", "partial-guard-radix-6", "multi-target", "every-variable"],
+    )
+    def test_fixed_statements_agree_with_int(self, stmt):
+        self._check(stmt, _random_masks(_space(), 12, seed=7))
+
+    @given(_statements(), st.lists(st.integers(0, (1 << 48) - 1), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_random_statements_agree_with_int(self, stmt, masks):
+        self._check(stmt, masks)
 
 
 class TestHeadlineVerdictsOnRobdd:

@@ -5,8 +5,9 @@ sequence variables — with indexing that can leave its range, arithmetic
 that can leave a domain, every short-circuiting connective and ``<=>`` —
 are compiled by support enumeration (:mod:`repro.unity.support`) and by
 the ROBDD backend's node algebra, and each result must equal what the
-per-state evaluator gives: the same mask, the same successor list, or the
-same exception type with the same message.
+per-state evaluator gives: the same mask, the same successor list (on
+ROBDD, the same image and preimage of every state), or the same exception
+type with the same message.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.predicates import Predicate
 from repro.predicates.backends import get_backend
+from repro.predicates.backends.robdd import RobddHandle
 from repro.statespace import (
     BoolDomain,
     IntRangeDomain,
@@ -201,8 +203,35 @@ def robdd_mask(expr, resolution=None):
     return ROBDD.to_mask(handle, SPACE.size)
 
 
+def transitions(space, table):
+    """Every state's image and preimage under a ROBDD relation, as index
+    masks: the transitions themselves, whatever shape the relation has."""
+    engine = ROBDD.engine(space)
+    images, preimages = [], []
+    for i in range(space.size):
+        single = RobddHandle(engine, engine.state_cube(i))
+        for out, kernel in ((images, ROBDD.image), (preimages, ROBDD.preimage)):
+            out.append(ROBDD.to_mask(kernel(single, table, space.size), space.size))
+    return images, preimages
+
+
+def array_transitions(succ):
+    """:func:`transitions` read off a successor array."""
+    preimages = [0] * len(succ)
+    for i, j in enumerate(succ):
+        preimages[j] |= 1 << i
+    return [1 << j for j in succ], preimages
+
+
+def expected_relation(space, succ):
+    """``succ``'s transitions, checked first against the array's own relation."""
+    expected = array_transitions(succ)
+    assert transitions(space, ROBDD.table_from_array_in(space, succ)) == expected
+    return expected
+
+
 def robdd_relation(stmt):
-    return ROBDD.stmt_relation(SimpleNamespace(space=SPACE), stmt).node
+    return transitions(SPACE, ROBDD.stmt_relation(SimpleNamespace(space=SPACE), stmt))
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +282,7 @@ def test_successors_match_per_state(stmt):
     assert outcome(lambda: support.successors(SPACE, stmt)) == expected
     if expected[0] == "ok":
         assert expected[1] == oracle._successors(SimpleNamespace(space=SPACE), stmt, None)
-        engine = ROBDD.engine(SPACE)
-        expected = ("ok", engine.relation_from_array(expected[1]))
+        expected = ("ok", expected_relation(SPACE, expected[1]))
     assert outcome(lambda: robdd_relation(stmt)) == expected
 
 
@@ -267,7 +295,7 @@ def test_resolved_statements_match_per_state(stmt, resolution):
     expected = outcome(lambda: per_state_successors(resolved))
     assert outcome(lambda: support.successors(SPACE, resolved)) == expected
     if expected[0] == "ok":
-        expected = ("ok", ROBDD.engine(SPACE).relation_from_array(expected[1]))
+        expected = ("ok", expected_relation(SPACE, expected[1]))
     assert outcome(lambda: robdd_relation(resolved)) == expected
 
 
@@ -302,12 +330,13 @@ def _pair_program(*statements):
 
 def test_short_circuit_guard_compiles_on_robdd():
     """The guard idiom ``Binary.eval`` short-circuits for compiles on every
-    backend, and the ROBDD relation is the explicit successor map."""
+    backend, and the ROBDD relation has the explicit successor map's
+    transitions."""
     stmt = assign("bump", {"j": var("j") + 1}, guard=SHORT_CIRCUIT)
     program = _pair_program(stmt)
     succ = program.successor_array(stmt)
-    engine = ROBDD.engine(PAIR)
-    assert ROBDD.stmt_relation(program, stmt).node == engine.relation_from_array(succ)
+    relation = ROBDD.stmt_relation(program, stmt)
+    assert transitions(PAIR, relation) == expected_relation(PAIR, succ)
     handle = ROBDD.expr_handle(PAIR, SHORT_CIRCUIT)
     assert ROBDD.to_mask(handle, PAIR.size) == program.expr_predicate(SHORT_CIRCUIT).mask
 
